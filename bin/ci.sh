@@ -1,5 +1,7 @@
 #!/bin/sh
-# CI entry point: full build, test suite, the shs_lint static-analysis
+# CI entry point: full build, test suite, a long sweep of the bigint
+# property tests (QCHECK_LONG=1 multiplies each property's count by its
+# long_factor), the shs_lint static-analysis
 # gates — untyped and typed whole-program passes, each with an
 # injected-violation check proving the gate can fail, and a
 # JSON-determinism check per pass — the bench regression gate
@@ -16,6 +18,9 @@ dune build @all
 
 echo "== tests =="
 dune runtest
+
+echo "== bigint property sweep: long_factor counts (QCHECK_LONG) =="
+QCHECK_LONG=1 dune exec test/test_bigint.exe
 
 out=$(mktemp /tmp/shs_bench_XXXXXX.json)
 perturbed=$(mktemp /tmp/shs_perturb_XXXXXX.json)

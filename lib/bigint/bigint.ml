@@ -4,7 +4,17 @@
    little-endian array of limbs in base 2^26.  26-bit limbs keep every
    intermediate of schoolbook multiplication and Knuth algorithm-D division
    inside OCaml's 63-bit native ints: a limb product is < 2^52, leaving
-   11 bits of headroom for carries and borrow bookkeeping. *)
+   11 bits of headroom for carries and borrow bookkeeping.
+
+   The Montgomery kernels (modular exponentiation with an odd modulus)
+   spend that headroom differently: they sum a whole output column, up
+   to 2k limb products for a k-limb modulus, into one int and carry
+   once per column.  Two limits follow.  A column (2k products below
+   2^52 plus a carry below 2^36) stays below 2^62 only while k <= 511
+   limbs, 13 286-bit moduli; wider odd moduli take the division ladder.
+   And limbs stay 26 bits wide: lazy carries need 2w + log2(2k) <= 62
+   for w-bit limbs, so 28-bit limbs would cap k at 32 (896 bits), below
+   a 1024-bit RSA modulus. *)
 
 let limb_bits = 26
 let base = 1 lsl limb_bits
@@ -511,9 +521,19 @@ let pow_mod_naive b e m =
 
 (* ------------------------------------------------------------------ *)
 (* Montgomery arithmetic: division-free modular multiplication for odd *)
-(* moduli (CIOS, word-by-word).  Exponentiation converts into the      *)
-(* Montgomery domain once and multiplies there, replacing the per-step *)
-(* Knuth division of the naive ladder.                                 *)
+(* moduli.  Exponentiation converts into the Montgomery domain once    *)
+(* and multiplies there, replacing the per-step Knuth division of the  *)
+(* naive ladder.                                                       *)
+(*                                                                     *)
+(* The kernel is product scanning (Koç–Acar–Kaliski's "FIPS" method):  *)
+(* output column i of a·b + m·n is summed into one native int — every  *)
+(* a_j·b_{i-j} and m_j·n_{i-j} product plus the carry in — and the     *)
+(* carry is taken once per column; [max_limbs] keeps a column within a *)
+(* native int (file header).                                           *)
+(* [mont_sqr] takes each column's cross products a_j·a_l (j < l) once  *)
+(* and doubles them; it serves every squaring: the window squarings of *)
+(* [pow], the shared Straus chain of [mont_multi] and the table steps  *)
+(* of [fb_extend].                                                     *)
 (* ------------------------------------------------------------------ *)
 
 module Montgomery = struct
@@ -534,10 +554,14 @@ module Montgomery = struct
     done;
     !x land mask
 
+  (* the lazy-carry bound: the largest k with 2k·2^52 + 2^36 <= 2^62 *)
+  let max_limbs = 511
+
   let create modulus =
     assert (modulus.sign > 0 && testbit modulus 0);
     let n_limbs = modulus.mag in
     let k = Array.length n_limbs in
+    if k > max_limbs then invalid_arg "Bigint.Montgomery.create: modulus too wide";
     let inv = inv_mod_base n_limbs.(0) in
     let n0' = (base - inv) land mask in
     let r = shift_left one (2 * k * limb_bits) in
@@ -554,45 +578,95 @@ module Montgomery = struct
       out
     end
 
-  (* t <- (a*b + m*n) / R, result < 2n *)
-  let mont_mul ctx a b =
+  (* Both kernels compute (x + m·n) / R with x = a·b (or a²) in two
+     column sweeps.  Columns 0..k-1 choose the limb m_i that clears the
+     column's low limb; columns k..2k-2 emit output limb i-k into [u].
+     Each column's sum starts from the carry [c] out of the last. *)
+
+  (* a squaring or a multiply is one bigint.mul, charged the 2k² limb
+     words of a schoolbook-equivalent Montgomery product *)
+  let charge ctx =
     Obs.incr mul_counter;
-    if !Prof.active then Prof.charge Prof.Mul ~words:(2 * ctx.k * ctx.k);
+    if !Prof.active then Prof.charge Prof.Mul ~words:(2 * ctx.k * ctx.k)
+
+  (* the last column's carry, then the conditional subtraction: the
+     result lies in [0, 2n) and leaves in [0, n) *)
+  let finish ctx u c =
     let k = ctx.k in
+    u.(k - 1) <- c land mask;
+    u.(k) <- c lsr limb_bits;
+    let out = Nat.norm u in
+    if Nat.compare out ctx.n_limbs >= 0 then Nat.sub out ctx.n_limbs else out
+
+  (* a·b / R mod n *)
+  let mont_mul ctx a b =
+    charge ctx;
+    let k = ctx.k and n = ctx.n_limbs and n0' = ctx.n0' in
     let a = pad_to k a and b = pad_to k b in
-    let n = ctx.n_limbs in
-    let t = Array.make (k + 2) 0 in
+    let m = Array.make k 0 and u = Array.make (k + 1) 0 in
+    let c = ref 0 in
     for i = 0 to k - 1 do
-      let ai = a.(i) in
-      (* t += a_i * b *)
-      let c = ref 0 in
-      for j = 0 to k - 1 do
-        let s = t.(j) + (ai * b.(j)) + !c in
-        t.(j) <- s land mask;
-        c := s lsr limb_bits
+      let s = ref !c in
+      for j = 0 to i - 1 do
+        s := !s + (a.(j) * b.(i - j)) + (m.(j) * n.(i - j))
       done;
-      let s = t.(k) + !c in
-      t.(k) <- s land mask;
-      t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-      (* reduce one limb *)
-      let m = (t.(0) * ctx.n0') land mask in
-      let s = t.(0) + (m * n.(0)) in
-      let c = ref (s lsr limb_bits) in
-      for j = 1 to k - 1 do
-        let s = t.(j) + (m * n.(j)) + !c in
-        t.(j - 1) <- s land mask;
-        c := s lsr limb_bits
-      done;
-      let s = t.(k) + !c in
-      t.(k - 1) <- s land mask;
-      t.(k) <- t.(k + 1) + (s lsr limb_bits);
-      t.(k + 1) <- 0
+      let s = !s + (a.(i) * b.(0)) in
+      let mi = ((s land mask) * n0') land mask in
+      m.(i) <- mi;
+      c := (s + (mi * n.(0))) lsr limb_bits
     done;
-    let out = Array.sub t 0 (k + 1) in
-    (* conditional subtraction: out may be in [0, 2n) *)
-    let out_n = Nat.norm out in
-    if Nat.compare out_n ctx.n_limbs >= 0 then Nat.sub out_n ctx.n_limbs
-    else out_n
+    for i = k to (2 * k) - 2 do
+      let s = ref !c in
+      for j = i - k + 1 to k - 1 do
+        s := !s + (a.(j) * b.(i - j)) + (m.(j) * n.(i - j))
+      done;
+      u.(i - k) <- !s land mask;
+      c := !s lsr limb_bits
+    done;
+    finish ctx u !c
+
+  (* a² / R mod n.  Column i's cross products a_j·a_{i-j} with j < i-j
+     are summed once into [x] and doubled, plus a_{i/2}^2 when i is
+     even; the loop over them also takes the m·n products of the same
+     j, and a second loop the rest of the column's m·n products. *)
+  let mont_sqr ctx a =
+    charge ctx;
+    let k = ctx.k and n = ctx.n_limbs and n0' = ctx.n0' in
+    let a = pad_to k a in
+    let m = Array.make k 0 and u = Array.make (k + 1) 0 in
+    let c = ref 0 in
+    for i = 0 to k - 1 do
+      let h = ((i + 1) / 2) - 1 in
+      let x = ref 0 and s = ref !c in
+      for j = 0 to h do
+        x := !x + (a.(j) * a.(i - j));
+        s := !s + (m.(j) * n.(i - j))
+      done;
+      for j = h + 1 to i - 1 do
+        s := !s + (m.(j) * n.(i - j))
+      done;
+      let sq = if i land 1 = 0 then a.(i / 2) * a.(i / 2) else 0 in
+      let s = !s + (2 * !x) + sq in
+      let mi = ((s land mask) * n0') land mask in
+      m.(i) <- mi;
+      c := (s + (mi * n.(0))) lsr limb_bits
+    done;
+    for i = k to (2 * k) - 2 do
+      let h = ((i + 1) / 2) - 1 in
+      let x = ref 0 and s = ref !c in
+      for j = i - k + 1 to h do
+        x := !x + (a.(j) * a.(i - j));
+        s := !s + (m.(j) * n.(i - j))
+      done;
+      for j = h + 1 to k - 1 do
+        s := !s + (m.(j) * n.(i - j))
+      done;
+      let sq = if i land 1 = 0 then a.(i / 2) * a.(i / 2) else 0 in
+      let s = !s + (2 * !x) + sq in
+      u.(i - k) <- s land mask;
+      c := s lsr limb_bits
+    done;
+    finish ctx u !c
 
   let to_mont ctx x = mont_mul ctx x.mag ctx.r2
 
@@ -620,7 +694,7 @@ module Montgomery = struct
     let nwindows = (nbits + wbits - 1) / wbits in
     for w = nwindows - 1 downto 0 do
       for _ = 1 to wbits do
-        acc := mont_mul ctx !acc !acc
+        acc := mont_sqr ctx !acc
       done;
       let digit = ref 0 in
       for j = wbits - 1 downto 0 do
@@ -640,9 +714,17 @@ let window_bits = 4
    not worth it. *)
 let mont_threshold_bits = 64
 
+(* moduli the Montgomery kernels serve: odd, above the setup threshold
+   and within the lazy-carry bound; every other modulus takes the
+   division ladder *)
+let mont_ok m =
+  testbit m 0 && num_bits m >= mont_threshold_bits
+  && Array.length m.mag <= Montgomery.max_limbs
+
 (* The pre-Montgomery implementation: windowed ladder with a Knuth
-   division after every multiplication.  Still used for even moduli, and
-   exposed as [pow_mod_div] for the E8 ablation. *)
+   division after every multiplication.  Still used for the moduli
+   [mont_ok] rejects, and exposed as [pow_mod_div] for the E8 ablation
+   and as the differential reference of the Montgomery kernels. *)
 let windowed_div_pow b e m nbits =
   let table = Array.make (1 lsl window_bits) one in
   for i = 1 to (1 lsl window_bits) - 1 do
@@ -715,7 +797,7 @@ let pow_mod_body b e m =
     done;
     !acc
   end
-  else if testbit m 0 && num_bits m >= mont_threshold_bits then
+  else if mont_ok m then
     (* odd modulus, real exponent: Montgomery domain.  Contexts are
        cached: a run touches only a handful of moduli (the RSA n, the
        Schnorr p, ...) and context creation costs a full division. *)
@@ -817,7 +899,7 @@ let fb_extend ctx e nwindows =
       done;
       grown.(j) <- w;
       let q = ref p in
-      for _ = 1 to window_bits do q := Montgomery.mont_mul ctx !q !q done;
+      for _ = 1 to window_bits do q := Montgomery.mont_sqr ctx !q done;
       e.fb_next_pow <- !q
     done;
     e.fb_windows <- grown
@@ -878,7 +960,7 @@ let mont_multi ~fixed_tables m pairs =
      let nwindows = (nbits + window_bits - 1) / window_bits in
      for w = nwindows - 1 downto 0 do
        for _ = 1 to window_bits do
-         acc := Montgomery.mont_mul ctx !acc !acc
+         acc := Montgomery.mont_sqr ctx !acc
        done;
        List.iter
          (fun (t, e) ->
@@ -905,7 +987,7 @@ let pow_mod_multi pairs m =
     Prof.charge Prof.Multi_exp
       ~words:(List.fold_left (fun a (_, e) -> a + num_bits e) 0 pairs);
   let mode = !multi_mode_ref in
-  let mont_ok = testbit m 0 && num_bits m >= mont_threshold_bits in
+  let mont_ok = mont_ok m in
   let invert_base b =
     let fail () =
       invalid_arg
@@ -954,7 +1036,7 @@ let pow_mod_multi pairs m =
       if mode <> Folded && mont_ok then
         mont_multi ~fixed_tables:(mode = Multi_fixed) m pairs
       else
-        (* even or tiny modulus (or the Folded ablation arm): fold of
+        (* modulus not [mont_ok] (or the Folded ablation arm): fold of
            independent windowed ladders, one mul_mod between terms *)
         List.fold_left
           (fun acc (b, e) -> mul_mod acc (pow_mod_body b e m) m)

@@ -3,8 +3,8 @@
     The sealed build environment provides no bignum library, so this module
     supplies the arithmetic substrate for every cryptographic component of
     the secret-handshake framework: schoolbook multiplication, Knuth
-    algorithm-D division, modular exponentiation with a sliding window,
-    modular inverses, and big-endian byte serialization.
+    algorithm-D division, modular exponentiation with a fixed 4-bit
+    window, modular inverses, and big-endian byte serialization.
 
     Values are immutable.  Internally a number is a sign and a little-endian
     array of 26-bit limbs; all exported operations are total unless
@@ -114,8 +114,9 @@ val pow_mod : t -> t -> t -> t
 (** [pow_mod b e m] computes [b^e mod m] for [m > 0].  Negative exponents
     are supported when [b] is invertible modulo [m] (the inverse is taken
     first).  A 4-bit fixed-window ladder over Montgomery multiplication
-    for odd moduli (the common case in this code base); division-based
-    reduction otherwise.
+    and squaring for odd moduli of 64 to 13 286 bits (the common case in
+    this code base; 511 limbs is the kernels' lazy-carry bound), and
+    division-based reduction otherwise.
     @raise Division_by_zero if [m] is zero.
     @raise Invalid_argument if [e < 0] and [b] is not invertible mod [m]. *)
 
@@ -126,7 +127,7 @@ val pow_mod_naive : t -> t -> t -> t
 val pow_mod_multi : (t * t) list -> t -> t
 (** [pow_mod_multi [(b1, e1); ...] m] is [Π bᵢ^eᵢ mod m] for [m > 0],
     evaluated as one Straus/Shamir simultaneous exponentiation in the
-    Montgomery domain (odd [m] of at least 64 bits): all terms share a
+    Montgomery domain (odd [m] of 64 to 13 286 bits): all terms share a
     single squaring chain and a single domain exit.  Bases that recur
     across calls — the scheme generators every session reuses — earn a
     cached fixed-base window table, after which their contribution costs

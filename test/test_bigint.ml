@@ -23,9 +23,10 @@ let arb_big ?(bits = 512) () =
 
 let arb_nat ?(bits = 512) () = QCheck2.Gen.map B.abs (arb_big ~bits ())
 
-let qtest name ?(count = 200) gen prop =
+(* [long_factor] multiplies [count] under QCHECK_LONG=1, the CI sweep *)
+let qtest name ?(count = 200) ?long_factor gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count gen prop)
+    (QCheck2.Test.make ~name ~count ?long_factor gen prop)
 
 (* ------------------------------------------------------------------ *)
 
@@ -170,6 +171,42 @@ let native_props =
         y = 0 || B.to_int (B.rem (B.of_int x) (B.of_int y)) = x mod y);
     qtest "compare matches native" small_pair (fun (x, y) ->
         B.compare (B.of_int x) (B.of_int y) = Stdlib.compare x y);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Constant-time comparisons against their early-exit counterparts     *)
+(* ------------------------------------------------------------------ *)
+
+(* pairs biased towards the shapes the limb scans must get right: zero,
+   equal values, equal magnitudes with opposite signs, and operands of
+   different limb counts — including a longer one whose low limbs equal
+   the shorter operand *)
+let gen_ct_pair =
+  let open QCheck2.Gen in
+  let x = arb_big ~bits:200 () in
+  let widen v j =
+    let p = B.shift_left B.one (26 * ((B.num_bits v / 26) + j)) in
+    if B.sign v < 0 then B.sub v p else B.add v p
+  in
+  oneof
+    [ pair x x;
+      map (fun v -> (v, v)) x;
+      map (fun v -> (v, B.neg v)) x;
+      map (fun v -> (B.zero, v)) x;
+      pure (B.zero, B.zero);
+      map (fun (v, j) -> (v, B.shift_left v (26 * j))) (pair x (int_range 1 3));
+      map (fun (v, j) -> (v, widen v j)) (pair x (int_range 1 3));
+      map (fun (v, j) -> (B.neg (widen v j), v)) (pair x (int_range 1 3));
+    ]
+
+let sign_of c = Int.compare c 0
+
+let ct_props =
+  [ qtest "equal_ct agrees with equal" gen_ct_pair (fun (x, y) ->
+        B.equal_ct x y = B.equal x y && B.equal_ct y x = B.equal y x);
+    qtest "compare_ct agrees with sign of compare" gen_ct_pair (fun (x, y) ->
+        sign_of (B.compare_ct x y) = sign_of (B.compare x y)
+        && sign_of (B.compare_ct y x) = sign_of (B.compare y x));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -353,6 +390,102 @@ let test_multi_edge_cases () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Montgomery kernels at real sizes, with adversarial limbs             *)
+(* ------------------------------------------------------------------ *)
+
+let limb_max = (1 lsl 26) - 1
+
+(* most-significant limb first *)
+let of_limbs limbs =
+  List.fold_left (fun acc l -> B.add (B.shift_left acc 26) (B.of_int l)) B.zero limbs
+
+(* 2^(26k) - 1: k limbs, every one maximal *)
+let all_ones k = B.pred (B.shift_left B.one (26 * k))
+
+(* Odd moduli of exactly 20, 40 or 79 limbs (the 512-, 1024- and
+   2048-bit classes) with limbs drawn from {0, 1, 2^26-1, uniform}, so
+   some product-scanning columns sum near-maximal products; 2^(26k)-1 is
+   drawn outright.  Two (base, exponent) terms per case: bases from
+   {n-1, n-2, 2^(26k-1), uniform}, exponents of 9 to 96 bits (past
+   pow_mod's tiny-exponent ladder). *)
+let gen_wide =
+  let open QCheck2.Gen in
+  let limb = oneof [ pure 0; pure 1; pure limb_max; int_bound limb_max ] in
+  let top = oneof [ pure 1; pure limb_max; int_range 1 limb_max ] in
+  let modulus k =
+    frequency
+      [ (1, pure (all_ones k));
+        ( 4,
+          map
+            (fun (t, rest) ->
+              let v = of_limbs (t :: rest) in
+              if B.is_even v then B.succ v else v)
+            (pair top (list_repeat (k - 1) limb)) ) ]
+  in
+  let base k n =
+    oneof
+      [ pure (B.pred n);
+        pure (B.sub n B.two);
+        pure (B.shift_left B.one ((26 * k) - 1));
+        map of_limbs (list_repeat k (int_bound limb_max)) ]
+  in
+  let exponent =
+    map
+      (fun (nb, seed) ->
+        B.add (B.shift_left B.one (nb - 1))
+          (B.random_bits (Test_rng.make seed) (nb - 1)))
+      (pair (int_range 9 96) (int_bound max_int))
+  in
+  let* k = oneofl [ 20; 40; 79 ] in
+  let* n = modulus k in
+  let term = pair (base k n) exponent in
+  map (fun (t1, t2) -> (n, t1, t2)) (pair term term)
+
+let div_product terms n =
+  List.fold_left
+    (fun acc (b_, e) -> B.mul_mod acc (B.pow_mod_div b_ e n) n)
+    (B.erem B.one n) terms
+
+let wide_props =
+  [ qtest "montgomery agrees with division ladder at 512-2048 bits"
+      ~count:20 ~long_factor:20 gen_wide
+      (fun (n, (b_, e), _) -> B.equal (B.pow_mod b_ e n) (B.pow_mod_div b_ e n));
+    qtest "Straus chain agrees with division ladder at 512-2048 bits"
+      ~count:10 ~long_factor:20 gen_wide
+      (fun (n, t1, t2) ->
+        B.equal
+          (in_mode B.Multi (fun () -> B.pow_mod_multi [ t1; t2 ] n))
+          (div_product [ t1; t2 ] n));
+    qtest "fixed-base tables agree with division ladder at 512-2048 bits"
+      ~count:10 ~long_factor:20 gen_wide
+      (fun (n, ((b1, _) as t1), t2) ->
+        in_mode B.Multi_fixed (fun () ->
+            (* four sightings reach fb_use_threshold: the checked call
+               then builds b1's table, squarings included *)
+            for _ = 1 to 4 do ignore (B.pow_mod_multi [ (b1, B.one) ] n) done;
+            B.equal (B.pow_mod_multi [ t1; t2 ] n) (div_product [ t1; t2 ] n)));
+  ]
+
+(* The lazy-carry bound: 511 limbs is the widest modulus the Montgomery
+   kernels accept.  At 512 limbs pow_mod and pow_mod_multi must take the
+   division ladder and build no Montgomery context. *)
+let test_lazy_carry_bound () =
+  let e = b "0xfff" in
+  B.reset_caches ();
+  List.iter
+    (fun (k, contexts) ->
+      let n = all_ones k in
+      let base = B.sub n B.two in
+      let expected = B.pow_mod_div base e n in
+      Alcotest.(check bool) (Printf.sprintf "pow_mod at %d limbs" k) true
+        (B.equal (B.pow_mod base e n) expected);
+      Alcotest.(check bool) (Printf.sprintf "pow_mod_multi at %d limbs" k) true
+        (B.equal (B.pow_mod_multi [ (base, e) ] n) expected);
+      Alcotest.(check int) (Printf.sprintf "Montgomery contexts after %d limbs" k)
+        contexts (B.mont_cache_size ()))
+    [ (511, 1); (512, 1) ]
+
+(* ------------------------------------------------------------------ *)
 (* Metering and caching regressions                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -477,7 +610,12 @@ let () =
   Alcotest.run "bigint"
     [ ("unit", unit_tests);
       ("native-crosscheck", native_props);
+      ("constant-time", ct_props);
       ("algebra", algebra_props);
       ("modular", modular_props);
       ("multi-exp", multi_unit_tests @ multi_props);
+      ( "montgomery-wide",
+        Alcotest.test_case "lazy-carry bound at 511/512 limbs" `Quick
+          test_lazy_carry_bound
+        :: wide_props );
     ]
