@@ -709,6 +709,22 @@ let e8 () =
            (let grp = Lazy.force Params.schnorr_512 in
             let x = Groupgen.schnorr_element ~rng grp in
             fun () -> assert (Groupgen.in_subgroup_slow grp x)));
+      (* the Euclid kernel and the byte conversions on 512-bit operands
+         derived from [base]: drawing nothing from [rng] keeps the
+         inputs of the rows below as they were *)
+      Test.make ~name:"jacobi (512b)"
+        (Staged.stage
+           (let p = (Lazy.force Params.schnorr_512).Groupgen.p in
+            let x = Bigint.erem base p in
+            fun () -> ignore (Primality.jacobi x p)));
+      Test.make ~name:"invert (512b)"
+        (Staged.stage (fun () -> ignore (Bigint.invert base n)));
+      Test.make ~name:"to_bytes_be (512b)"
+        (Staged.stage (fun () -> ignore (Bigint.to_bytes_be base)));
+      Test.make ~name:"of_bytes_be (512b)"
+        (Staged.stage
+           (let s = Bigint.to_bytes_be base in
+            fun () -> ignore (Bigint.of_bytes_be s)));
       Test.make ~name:"sha256 (1 KiB)"
         (Staged.stage
            (let block = String.make 1024 'x' in

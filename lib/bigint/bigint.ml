@@ -14,7 +14,16 @@
    limbs, 13 286-bit moduli; wider odd moduli take the division ladder.
    And limbs stay 26 bits wide: lazy carries need 2w + log2(2k) <= 62
    for w-bit limbs, so 28-bit limbs would cap k at 32 (896 bits), below
-   a 1024-bit RSA modulus. *)
+   a 1024-bit RSA modulus.
+
+   The Euclid kernel behind [gcd], [invert] and [jacobi] (Lehmer's
+   method, module [Euclid]) spends it a third way: a batch of quotients
+   simulated on the top 60 bits of the pair is applied to the full
+   numbers as a 2x2 matrix of cofactors, one signed pass over the limbs
+   summing two cofactor-by-limb products per limb.  Cofactors stay below
+   2^34, so that sum and its carry stay below 2^62.  [jacobi] drives a
+   small state machine (sign, both values mod 8, which one is the
+   denominator) with the same quotients; see the comment above it. *)
 
 let limb_bits = 26
 let base = 1 lsl limb_bits
@@ -300,6 +309,128 @@ module Nat = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Euclid's remainder sequence, accelerated by Lehmer's method (Knuth, *)
+(* TAOCP vol. 2, 4.5.2, algorithm L).  A batch simulates quotients in  *)
+(* native ints on the top [window] bits of (u, v), then applies the    *)
+(* batch's 2x2 matrix to the full numbers in one signed pass over the  *)
+(* limbs.  When not even one quotient can be simulated, a single       *)
+(* [Nat.div_rem] step takes its place.  A batch ends before any        *)
+(* cofactor reaches 2^34, so a limb of the pass sums two products of a *)
+(* cofactor and a 26-bit limb plus a carry, below 2^62; a quotient     *)
+(* must stay below 2^27 so that q·|cofactor| is formed only when it    *)
+(* fits.                                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Euclid = struct
+  let window = 60
+  let cofactor_limit = 1 lsl 34
+  let quotient_limit = 1 lsl 27
+
+  (* bits [s, s + window) of [a]; [n] is the limb count of the larger
+     operand, whose top limb bounds the shifts below 2^window *)
+  let top a n s =
+    let li = s / limb_bits and off = s mod limb_bits in
+    let r = ref (a.(li) lsr off) in
+    for j = li + 1 to n - 1 do
+      r := !r + (a.(j) lsl ((limb_bits * (j - li)) - off))
+    done;
+    !r
+
+  (* limb count of [a] once its limbs from [n] up are known to be zero *)
+  let len_below a n =
+    let n = ref n in
+    while !n > 0 && a.(!n - 1) = 0 do decr n done;
+    !n
+
+  (* [run ~quot ~batch ~big u v] runs Euclid on the magnitudes u >= v
+     (neither array is modified) and returns gcd(u, v).  Each quotient q
+     reaches [quot] as q mod 8, in sequence order.  [batch a b c d] gets
+     each simulated batch's matrix as magnitudes: the batch maps (u, v)
+     to (a·u - b·v, d·v - c·u) after an even number of quotients and to
+     (b·v - a·u, c·u - d·v) after an odd one (the signs alternate).
+     [big q] gets each quotient that a division step found instead. *)
+  let run ~quot ~batch ~big u0 v0 =
+    let cap = Array.length u0 in
+    let u = ref (Array.make cap 0) and v = ref (Array.make cap 0) in
+    Array.blit u0 0 !u 0 cap;
+    Array.blit v0 0 !v 0 (Array.length v0);
+    let nu = ref cap and nv = ref (Array.length v0) in
+    (* invariant: u >= v, and limbs past nu (resp. nv) are zero *)
+    while !nv > 0 do
+      let uu = !u and vv = !v and n = !nu in
+      let s = Stdlib.max 0 (Nat.num_bits uu - window) in
+      (* below 2^window the simulated values are u and v themselves *)
+      let exact = s = 0 in
+      let uh = ref (top uu n s) and vh = ref (top vv n s) in
+      let a = ref 1 and b = ref 0 and c = ref 0 and d = ref 1 in
+      let steps = ref 0 and simulating = ref true in
+      while !simulating do
+        (* the true quotient lies between those of the corner pairs
+           (uh + a, vh + c) and (uh + b, vh + d); -1 when they differ *)
+        let q =
+          if exact then (if !vh = 0 then -1 else !uh / !vh)
+          else begin
+            let vc = !vh + !c and vd = !vh + !d in
+            if vc = 0 || vd = 0 then -1
+            else begin
+              let q = (!uh + !a) / vc in
+              if q = (!uh + !b) / vd then q else -1
+            end
+          end
+        in
+        if q < 0 || q >= quotient_limit then simulating := false
+        else begin
+          (* signs alternate, so |a - q·c| = |a| + q·|c| *)
+          let c' = !a - (q * !c) and d' = !b - (q * !d) in
+          if Stdlib.abs c' >= cofactor_limit || Stdlib.abs d' >= cofactor_limit
+          then simulating := false
+          else begin
+            quot (q land 7);
+            a := !c;
+            b := !d;
+            c := c';
+            d := d';
+            let w = !uh - (q * !vh) in
+            uh := !vh;
+            vh := w;
+            incr steps
+          end
+        end
+      done;
+      if !steps > 0 then begin
+        let a = !a and b = !b and c = !c and d = !d in
+        let cu = ref 0 and cv = ref 0 in
+        for i = 0 to n - 1 do
+          let x = uu.(i) and y = vv.(i) in
+          let p = (a * x) + (b * y) + !cu and r = (c * x) + (d * y) + !cv in
+          uu.(i) <- p land mask;
+          vv.(i) <- r land mask;
+          cu := p asr limb_bits;
+          cv := r asr limb_bits
+        done;
+        (* both results are remainders, non-negative and below u *)
+        assert (!cu = 0 && !cv = 0);
+        nu := len_below uu n;
+        nv := len_below vv n;
+        batch (Stdlib.abs a) (Stdlib.abs b) (Stdlib.abs c) (Stdlib.abs d)
+      end
+      else begin
+        let q, r = Nat.div_rem (Array.sub uu 0 n) (Array.sub vv 0 !nv) in
+        quot (if Array.length q = 0 then 0 else q.(0) land 7);
+        big q;
+        (* (u, v) <- (v, r), reusing u's array for r *)
+        Array.fill uu 0 n 0;
+        Array.blit r 0 uu 0 (Array.length r);
+        u := vv;
+        v := uu;
+        nu := !nv;
+        nv := Array.length r
+      end
+    done;
+    Array.sub !u 0 !nu
+end
+
+(* ------------------------------------------------------------------ *)
 (* Signed wrapper                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -481,9 +612,22 @@ let add_mod a b m = erem (add a b) m
 let sub_mod a b m = erem (sub a b) m
 let mul_mod a b m = erem (mul a b) m
 
+(* [a mod d] for 0 < d < 2^36 by Horner's rule over the limbs: the
+   partial remainder stays below 2^62 and nothing is allocated *)
+let erem_int a d =
+  if d <= 0 || d >= 1 lsl 36 then invalid_arg "Bigint.erem_int: divisor out of range";
+  let r = ref 0 in
+  for i = Array.length a.mag - 1 downto 0 do
+    r := ((!r lsl limb_bits) lor a.mag.(i)) mod d
+  done;
+  if a.sign < 0 && !r <> 0 then d - !r else !r
+
+let no_batch _ _ _ _ = ()
+
 let gcd a b =
-  let rec go a b = if is_zero b then a else go b (erem a b) in
-  go (abs a) (abs b)
+  let a = abs a and b = abs b in
+  let u, v = if compare a b >= 0 then (a, b) else (b, a) in
+  make 1 (Euclid.run ~quot:ignore ~batch:no_batch ~big:ignore u.mag v.mag)
 
 let ext_gcd a b =
   (* Iterative extended Euclid over signed values. *)
@@ -497,13 +641,99 @@ let ext_gcd a b =
   let g, u, v = go a b one zero zero one in
   if g.sign < 0 then (neg g, neg u, neg v) else (g, u, v)
 
+(* Euclid on (m, a mod m), tracking only the cofactor t of a (each
+   remainder r ≡ t·a mod m) as magnitudes: cofactors alternate in sign,
+   so a batch adds magnitudes, |t_u'| = |a|·|t_u| + |b|·|t_v|, and the
+   cofactor of u is positive after an odd number of quotients. *)
 let invert a m =
   if !Prof.active then Prof.charge Prof.Inv ~words:(Array.length m.mag);
-  let g, u, _ = ext_gcd (erem a m) m in
+  let r = erem a m in
+  (* every cofactor magnitude is at most m *)
+  let cap = Array.length m.mag in
+  let su0 = Array.make cap 0 and sv0 = Array.make cap 0 in
+  sv0.(0) <- 1;
+  let su = ref su0 and sv = ref sv0 in
+  (* limbs of the larger cofactor, the one of v *)
+  let ls = ref 1 and steps = ref 0 in
+  let batch a b c d =
+    let x = !su and y = !sv in
+    let cx = ref 0 and cy = ref 0 in
+    for i = 0 to !ls - 1 do
+      let xi = x.(i) and yi = y.(i) in
+      let p = (a * xi) + (b * yi) + !cx and q = (c * xi) + (d * yi) + !cy in
+      x.(i) <- p land mask;
+      y.(i) <- q land mask;
+      cx := p lsr limb_bits;
+      cy := q lsr limb_bits
+    done;
+    let i = ref !ls in
+    while !cx <> 0 || !cy <> 0 do
+      x.(!i) <- !cx land mask;
+      y.(!i) <- !cy land mask;
+      cx := !cx lsr limb_bits;
+      cy := !cy lsr limb_bits;
+      incr i
+    done;
+    ls := Euclid.len_below y !i
+  in
+  let big q =
+    let x = !su and y = !sv in
+    let t = Nat.add (Array.sub x 0 !ls) (Nat.mul_raw q (Array.sub y 0 !ls)) in
+    Array.fill x 0 cap 0;
+    Array.blit t 0 x 0 (Array.length t);
+    su := y;
+    sv := x;
+    ls := Array.length t
+  in
+  let g =
+    Euclid.run ~quot:(fun _ -> incr steps) ~batch ~big m.mag r.mag
+  in
   (* [a] is routinely a secret trapdoor (group orders, tracing keys);
      the invertibility check must not leak how close g is to 1. *)
-  if not (equal_ct g one) then raise Not_found;
-  erem u m
+  if not (equal_ct (make 1 g) one) then raise Not_found;
+  erem (make (if !steps land 1 = 1 then 1 else -1) !su) m
+
+(* Jacobi symbol over the same remainder sequence on (n, a mod n), with
+   no factors of two stripped.  The denominator is always odd; the state
+   is the sign, both values mod 8 and which one is the denominator.  For
+   each quotient q, with w = u - q·v:
+   - v the denominator: (u/v) = (w/v), nothing changes;
+   - u the denominator, v odd: reciprocity, v becomes the denominator,
+     the sign flips iff u ≡ v ≡ 3 mod 4;
+   - u the denominator, v even: w stays the denominator; if v ≡ 2 mod 4
+     the sign takes χ(u)·χ(w), χ(x) = -1 iff x ≡ ±3 mod 8, and flips
+     again if v ≡ 6 mod 8 and u ≢ w mod 4.
+   The residues follow from q mod 8 alone, so Lehmer's simulated
+   quotients drive the state.  The symbol is the sign if the gcd is 1,
+   and 0 otherwise. *)
+let jacobi a n =
+  if n.sign <= 0 || not (testbit n 0) then
+    invalid_arg "Bigint.jacobi: modulus must be odd and positive";
+  let r = erem a n in
+  let x = ref (n.mag.(0) land 7) in
+  let y = ref (if r.sign = 0 then 0 else r.mag.(0) land 7) in
+  let den_u = ref true and sign = ref 1 in
+  let chi v = v = 3 || v = 5 in
+  let quot q =
+    let w = (!x - (q * !y)) land 7 in
+    if !den_u then begin
+      if !y land 1 = 1 then begin
+        if !x land 3 = 3 && !y land 3 = 3 then sign := - !sign
+      end
+      else begin
+        if !y land 3 = 2 then begin
+          if chi !x <> chi w then sign := - !sign;
+          if !y = 6 && !x land 3 <> w land 3 then sign := - !sign
+        end;
+        den_u := false
+      end
+    end
+    else den_u := true;
+    x := !y;
+    y := w
+  in
+  let g = Euclid.run ~quot ~batch:no_batch ~big:ignore n.mag r.mag in
+  if Array.length g = 1 && g.(0) = 1 then !sign else 0
 
 let pow_mod_naive b e m =
   if m.sign <= 0 then raise Division_by_zero;
@@ -995,7 +1225,7 @@ let pow_mod_multi pairs m =
     in
     if mode = Multi_fixed && mont_ok then begin
       (* park the inverse on the base's fixed-base entry so recurring
-         negative-exponent terms pay ext_gcd once, not per call *)
+         negative-exponent terms pay the inversion once, not per call *)
       let rb = erem b m in
       if is_zero rb then fail ();
       let en = fb_entry rb m in
@@ -1142,11 +1372,25 @@ let of_string s =
   end;
   if negative then neg !acc else !acc
 
+(* Both byte conversions make one pass from the least significant end,
+   moving 8 bits per step between the bytes and the 26-bit limbs
+   through an accumulator of fewer than 34 bits. *)
 let of_bytes_be s =
-  let acc = ref zero in
-  let byte = of_int 256 in
-  String.iter (fun c -> acc := add (mul !acc byte) (of_int (Char.code c))) s;
-  !acc
+  let len = String.length s in
+  let mag = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and k = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code s.[i] lsl !bits);
+    bits := !bits + 8;
+    if !bits >= limb_bits then begin
+      mag.(!k) <- !acc land mask;
+      incr k;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits
+    end
+  done;
+  if !bits > 0 then mag.(!k) <- !acc;
+  make 1 mag
 
 let to_bytes_be ?len t =
   if t.sign < 0 then invalid_arg "Bigint.to_bytes_be: negative value";
@@ -1159,13 +1403,20 @@ let to_bytes_be ?len t =
       l
   in
   let out = Bytes.make total '\000' in
-  let v = ref t in
-  let byte = of_int 256 in
-  for i = total - 1 downto total - nbytes do
-    let q, r = div_rem !v byte in
-    Bytes.set out i (Char.chr (to_int r));
-    v := q
+  let first = total - nbytes in
+  let acc = ref 0 and bits = ref 0 and pos = ref (total - 1) in
+  for i = 0 to Array.length t.mag - 1 do
+    acc := !acc lor (t.mag.(i) lsl !bits);
+    bits := !bits + limb_bits;
+    while !bits >= 8 && !pos >= first do
+      Bytes.set out !pos (Char.chr (!acc land 0xff));
+      decr pos;
+      acc := !acc lsr 8;
+      bits := !bits - 8
+    done
   done;
+  (* the top byte may hold fewer than 8 bits *)
+  if !pos >= first then Bytes.set out !pos (Char.chr !acc);
   Bytes.to_string out
 
 let random_bits rng n =

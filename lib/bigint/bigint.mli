@@ -4,7 +4,13 @@
     supplies the arithmetic substrate for every cryptographic component of
     the secret-handshake framework: schoolbook multiplication, Knuth
     algorithm-D division, modular exponentiation with a fixed 4-bit
-    window, modular inverses, and big-endian byte serialization.
+    window, big-endian byte serialization, and one Euclid kernel
+    accelerated by Lehmer's method (Knuth algorithm L) that serves
+    {!gcd}, {!invert} and {!jacobi}.  The kernel simulates quotients in
+    native ints on the top 60 bits of the pair, ends a batch before any
+    cofactor reaches 2{^34}, and applies the batch's 2x2 matrix to the
+    full numbers in one signed pass over the limbs; when no quotient can
+    be simulated it takes one division step instead.
 
     Values are immutable.  Internally a number is a sign and a little-endian
     array of 26-bit limbs; all exported operations are total unless
@@ -148,22 +154,44 @@ val set_multi_mode : multi_mode -> unit
 val multi_mode : unit -> multi_mode
 
 val gcd : t -> t -> t
+(** Non-negative greatest common divisor; [gcd zero zero = zero]. *)
 
 val ext_gcd : t -> t -> t * t * t
-(** [ext_gcd a b = (g, u, v)] with [g = gcd a b = u*a + v*b]. *)
+(** [ext_gcd a b = (g, u, v)] with [g = gcd a b = u*a + v*b], by the
+    textbook extended Euclid (two products per quotient).  For the
+    Bezout pair itself; {!invert} does not use it. *)
 
 val invert : t -> t -> t
-(** [invert a m] is [a^-1 mod m] in [\[0, m)].
-    @raise Not_found if [a] is not invertible modulo [m]. *)
+(** [invert a m] is [a^-1 mod m] in [\[0, m)], for any non-zero modulus.
+    The Euclid kernel runs on [(m, a mod m)] and tracks only the
+    cofactor of [a].  Variable-time.
+    @raise Not_found if [a] is not invertible modulo [m].
+    @raise Division_by_zero if [m] is zero. *)
+
+val jacobi : t -> t -> int
+(** [jacobi a n] is the Jacobi symbol [(a/n)] in [{-1, 0, 1}] for odd
+    positive [n], from the Euclid kernel's remainder sequence on
+    [(n, a mod n)]: per quotient, a sign and both values mod 8 are
+    updated (reciprocity when the denominator is reduced by an odd
+    value, the [(2/x)] rule when by an even one).  Variable-time.
+    @raise Invalid_argument if [n] is even or non-positive. *)
+
+val erem_int : t -> int -> int
+(** [erem_int a d] is [erem a (of_int d)] as an int, for
+    [0 < d < 2{^36}], computed by Horner's rule over the limbs without
+    allocating.
+    @raise Invalid_argument if [d] is out of range. *)
 
 (** {1 Byte serialization} *)
 
 val of_bytes_be : string -> t
-(** Big-endian unsigned interpretation; [""] maps to [zero]. *)
+(** Big-endian unsigned interpretation; [""] maps to [zero].  One pass
+    over the bytes, filling 26-bit limbs 8 bits at a time. *)
 
 val to_bytes_be : ?len:int -> t -> string
 (** Minimal big-endian encoding of the magnitude, left-padded with zero
-    bytes to [len] when given.  The value must be non-negative.
+    bytes to [len] when given.  The value must be non-negative.  One
+    pass over the limbs.
     @raise Invalid_argument if [len] is too small for the magnitude. *)
 
 (** {1 Randomness} *)

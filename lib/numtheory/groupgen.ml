@@ -32,7 +32,7 @@ let in_subgroup grp x =
   if B.testbit grp.p 0 && B.testbit grp.p 1 then
     B.compare x B.one > 0
     && B.compare x grp.p < 0
-    && Primality.jacobi x grp.p = 1
+    && B.jacobi x grp.p = 1
   else in_subgroup_slow grp x
 
 type rsa_modulus = {

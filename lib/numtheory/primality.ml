@@ -27,9 +27,7 @@ let trial_division n =
     (* small enough to decide outright *)
     v >= 2 && Array.exists (fun p -> p = v) small_primes
   | _ ->
-    Array.for_all
-      (fun p -> not (B.is_zero (B.erem n (B.of_int p))))
-      small_primes
+    Array.for_all (fun p -> B.erem_int n p <> 0) small_primes
 
 (* true iff [a] proves odd [n] composite. *)
 let miller_rabin_witness n a =
@@ -94,35 +92,7 @@ let is_probable_prime ?rng ?(rounds = 40) n =
       end
   end
 
-(* Binary Jacobi symbol, TAOCP-style: O(log^2) bit operations, no
-   exponentiation. *)
 let jacobi a n =
   if B.sign n <= 0 || B.is_even n then
     invalid_arg "Primality.jacobi: modulus must be odd and positive";
-  let rec go a n acc =
-    (* invariant: n odd and positive *)
-    let a = B.erem a n in
-    if B.is_zero a then if B.equal n B.one then acc else 0
-    else begin
-      (* strip factors of two; each contributes (2/n) = -1 iff n = ±3 mod 8 *)
-      let rec strip a acc =
-        if B.is_even a then begin
-          let n_mod8 = B.to_int (B.logand n (B.of_int 7)) in
-          let acc = if n_mod8 = 3 || n_mod8 = 5 then -acc else acc in
-          strip (B.shift_right a 1) acc
-        end
-        else (a, acc)
-      in
-      let a, acc = strip a acc in
-      if B.equal a B.one then acc
-      else begin
-        (* quadratic reciprocity: flip sign iff a = n = 3 mod 4 *)
-        let flip =
-          B.to_int (B.logand a (B.of_int 3)) = 3
-          && B.to_int (B.logand n (B.of_int 3)) = 3
-        in
-        go n a (if flip then -acc else acc)
-      end
-    end
-  in
-  go a n 1
+  B.jacobi a n

@@ -10,7 +10,8 @@ val small_primes : int array
 
 val trial_division : Bigint.t -> bool
 (** [true] if no small prime divides the argument (or the argument {e is}
-    a small prime). *)
+    a small prime).  Each remainder is {!Bigint.erem_int}, which does not
+    allocate. *)
 
 val miller_rabin_witness : Bigint.t -> Bigint.t -> bool
 (** [miller_rabin_witness n a] is [true] iff [a] witnesses that odd [n > 2]
@@ -25,5 +26,5 @@ val jacobi : Bigint.t -> Bigint.t -> int
     [n].  For prime [n] this decides quadratic residuosity without a full
     exponentiation — the fast path for validating Schnorr-group elements
     in safe-prime groups (where QR(p) is exactly the prime-order
-    subgroup).
+    subgroup).  Evaluated by {!Bigint.jacobi}.
     @raise Invalid_argument if [n] is even or non-positive. *)

@@ -296,6 +296,200 @@ let modular_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The Euclid kernel and the byte conversions against the slow paths   *)
+(* they replaced, which live on here as references only                *)
+(* ------------------------------------------------------------------ *)
+
+(* binary Jacobi symbol, one shift per stripped factor of two *)
+let ref_jacobi a n =
+  let rec go a n acc =
+    let a = B.erem a n in
+    if B.is_zero a then if B.equal n B.one then acc else 0
+    else begin
+      let rec strip a acc =
+        if B.is_even a then begin
+          let n_mod8 = B.to_int (B.logand n (B.of_int 7)) in
+          let acc = if n_mod8 = 3 || n_mod8 = 5 then -acc else acc in
+          strip (B.shift_right a 1) acc
+        end
+        else (a, acc)
+      in
+      let a, acc = strip a acc in
+      if B.equal a B.one then acc
+      else begin
+        let flip =
+          B.to_int (B.logand a (B.of_int 3)) = 3
+          && B.to_int (B.logand n (B.of_int 3)) = 3
+        in
+        go n a (if flip then -acc else acc)
+      end
+    end
+  in
+  go a n 1
+
+(* the inverse from extended Euclid's Bezout pair *)
+let ref_invert a m =
+  let g, u, _ = B.ext_gcd (B.erem a m) m in
+  if not (B.equal g B.one) then raise Not_found;
+  B.erem u m
+
+let ref_gcd a b =
+  let rec go a b = if B.is_zero b then a else go b (B.erem a b) in
+  go (B.abs a) (B.abs b)
+
+(* one bignum multiplication per byte in, one division per byte out *)
+let ref_of_bytes s =
+  let acc = ref B.zero and byte = B.of_int 256 in
+  String.iter
+    (fun c -> acc := B.add (B.mul !acc byte) (B.of_int (Char.code c)))
+    s;
+  !acc
+
+let ref_to_bytes ?len t =
+  let nbytes = (B.num_bits t + 7) / 8 in
+  let total = Option.value len ~default:nbytes in
+  let out = Bytes.make total '\000' in
+  let v = ref t and byte = B.of_int 256 in
+  for i = total - 1 downto total - nbytes do
+    let q, r = B.div_rem !v byte in
+    Bytes.set out i (Char.chr (B.to_int r));
+    v := q
+  done;
+  Bytes.to_string out
+
+let invert_result a m = try Some (B.invert a m) with Not_found -> None
+let ref_invert_result a m = try Some (ref_invert a m) with Not_found -> None
+
+let fib =
+  lazy
+    (let f = Array.make 2960 B.zero in
+     f.(1) <- B.one;
+     for i = 2 to Array.length f - 1 do f.(i) <- B.add f.(i - 1) f.(i - 2) done;
+     f)
+
+(* (F_k, F_{k+1}), or the next pair when [odd] needs an odd second term:
+   every quotient of their remainder sequence is 1, the longest Lehmer
+   batches there are *)
+let fib_pair ~odd k =
+  let f = Lazy.force fib in
+  if odd && B.is_even f.(k + 1) then (f.(k + 1), f.(k + 2)) else (f.(k), f.(k + 1))
+
+(* (a, n) with n > 0 of 1 to 2048 bits, and odd when [odd]: uniform
+   pairs, consecutive Fibonacci numbers, n = 1, a ≡ 0, negative a, a > n,
+   moduli 2^(26k) ± 1 (and 2^(26k) when even moduli are allowed), and a
+   tiny a or n - a against a wide n, whose huge quotient forces the
+   division fallback *)
+let gen_euclid ~odd =
+  let open QCheck2.Gen in
+  let nat bits = map B.abs (arb_big ~bits ()) in
+  let fix n =
+    let n = if B.is_zero n then B.one else n in
+    if odd && B.is_even n then B.succ n else n
+  in
+  let limb_power =
+    let* k = int_range 1 78 in
+    let p = B.shift_left B.one (26 * k) in
+    oneofl
+      ((if odd then [] else [ p ]) @ [ B.succ p; B.pred p ])
+  in
+  frequency
+    [ (4, map (fun (a, n) -> (a, fix n)) (pair (arb_big ~bits:2050 ()) (nat 2048)));
+      (2, map (fib_pair ~odd) (int_range 2 2950));
+      (1, map (fun a -> (a, B.one)) (arb_big ~bits:600 ()));
+      ( 1,
+        map
+          (fun (k, n) -> let n = fix n in (B.mul k n, n))
+          (pair (arb_big ~bits:200 ()) (nat 2048)) );
+      ( 1,
+        map
+          (fun (a, n) -> let n = fix n in (B.neg (B.abs a), n))
+          (pair (arb_big ~bits:2048 ()) (nat 2048)) );
+      ( 1,
+        map
+          (fun (a, n) -> let n = fix n in (B.add (B.abs a) n, n))
+          (pair (arb_big ~bits:2048 ()) (nat 2048)) );
+      (2, pair (arb_big ~bits:2048 ()) limb_power);
+      ( 2,
+        map
+          (fun ((a, n), flip) ->
+            let n = fix (B.add n (B.shift_left B.one 1500)) in
+            ((if flip then B.sub n a else a), n))
+          (pair (pair (arb_big ~bits:30 ()) (nat 2048)) bool) );
+    ]
+
+(* a and n share a factor f > 1 (odd when n must be) *)
+let gen_shared ~odd =
+  let open QCheck2.Gen in
+  map
+    (fun ((x, y), f) ->
+      let oddify v = if odd && B.is_even v then B.succ v else v in
+      let f = oddify (B.add (B.abs f) B.two) and y = oddify (B.succ (B.abs y)) in
+      (B.mul x f, B.mul y f))
+    (pair (pair (arb_big ~bits:1000 ()) (arb_big ~bits:1000 ())) (arb_big ~bits:1000 ()))
+
+(* big-endian strings of 0 to 256 bytes, some with leading zero bytes *)
+let gen_bytes =
+  let open QCheck2.Gen in
+  map
+    (fun ((zeros, n), seed) -> String.make zeros '\000' ^ Test_rng.make seed n)
+    (pair (pair (int_bound 4) (int_bound 252)) (int_bound max_int))
+
+let euclid_props =
+  [ qtest "jacobi agrees with the per-bit reference" ~count:150 ~long_factor:20
+      (gen_euclid ~odd:true)
+      (fun (a, n) -> B.jacobi a n = ref_jacobi a n);
+    qtest "invert agrees with the ext_gcd reference" ~count:150 ~long_factor:20
+      (gen_euclid ~odd:false)
+      (fun (a, m) -> invert_result a m = ref_invert_result a m);
+    qtest "gcd agrees with the remainder-loop reference" ~count:150 ~long_factor:20
+      (gen_euclid ~odd:false)
+      (fun (a, m) -> B.equal (B.gcd a m) (ref_gcd a m) && B.equal (B.gcd m a) (ref_gcd a m));
+    qtest "shared factor: jacobi is 0, invert raises" ~count:60 ~long_factor:20
+      QCheck2.Gen.(pair (gen_shared ~odd:true) (gen_shared ~odd:false))
+      (fun ((a, n), (b_, m)) ->
+        B.jacobi a n = 0 && ref_jacobi a n = 0
+        && invert_result b_ m = None && ref_invert_result b_ m = None);
+    qtest "to_bytes_be agrees with the per-byte reference" ~count:150 ~long_factor:20
+      QCheck2.Gen.(pair (arb_nat ~bits:2048 ()) (int_bound 5))
+      (fun (x, pad) ->
+        let len = ((B.num_bits x + 7) / 8) + pad in
+        B.to_bytes_be x = ref_to_bytes x && B.to_bytes_be ~len x = ref_to_bytes ~len x);
+    qtest "of_bytes_be agrees with the per-byte reference" ~count:150 ~long_factor:20
+      gen_bytes
+      (fun s -> B.equal (B.of_bytes_be s) (ref_of_bytes s));
+  ]
+
+(* every small case: a in [-40, 3n], n up to 150 (odd n for jacobi) *)
+let test_euclid_small_grid () =
+  for n = 1 to 150 do
+    let bn = B.of_int n in
+    for a = -40 to 3 * n do
+      let ba = B.of_int a in
+      if n land 1 = 1 && B.jacobi ba bn <> ref_jacobi ba bn then
+        Alcotest.failf "jacobi %d %d" a n;
+      if invert_result ba bn <> ref_invert_result ba bn then
+        Alcotest.failf "invert %d %d" a n;
+      if not (B.equal (B.gcd ba bn) (ref_gcd ba bn)) then
+        Alcotest.failf "gcd %d %d" a n
+    done
+  done
+
+let test_euclid_edges () =
+  let m = B.pred (B.shift_left B.one 521) in
+  Alcotest.(check int) "jacobi 0/1" 1 (B.jacobi B.zero B.one);
+  Alcotest.(check int) "jacobi n/n" 0 (B.jacobi m m);
+  Alcotest.(check int) "invert mod 1" 0 (B.to_int (B.invert (b "12345") B.one));
+  Alcotest.check_raises "invert 0" Not_found (fun () -> ignore (B.invert B.zero m));
+  Alcotest.check_raises "invert mod 0" Division_by_zero (fun () ->
+      ignore (B.invert B.one B.zero));
+  Alcotest.check_raises "jacobi even" (Invalid_argument "Bigint.jacobi: modulus must be odd and positive")
+    (fun () -> ignore (B.jacobi B.one (B.of_int 10)));
+  check_b "gcd 0 0" "0" (B.gcd B.zero B.zero);
+  Alcotest.(check int) "erem_int negative" 2 (B.erem_int (B.of_int (-7)) 3);
+  Alcotest.(check int) "erem_int wide" (B.to_int (B.erem m (B.of_int 9973)))
+    (B.erem_int m 9973)
+
+(* ------------------------------------------------------------------ *)
 (* Multi-exponentiation: cross-checks over every evaluation mode        *)
 (* ------------------------------------------------------------------ *)
 
@@ -613,6 +807,11 @@ let () =
       ("constant-time", ct_props);
       ("algebra", algebra_props);
       ("modular", modular_props);
+      ( "euclid",
+        [ Alcotest.test_case "every small case vs references" `Quick
+            test_euclid_small_grid;
+          Alcotest.test_case "edge cases" `Quick test_euclid_edges ]
+        @ euclid_props );
       ("multi-exp", multi_unit_tests @ multi_props);
       ( "montgomery-wide",
         Alcotest.test_case "lazy-carry bound at 511/512 limbs" `Quick

@@ -6,9 +6,6 @@
 
 let hex = Sha256.hex
 
-let check_digest label expected value =
-  Alcotest.(check string) label expected (hex (Sha256.digest value))
-
 let test_wire_encoding_stable () =
   Alcotest.(check string) "tagged empty" "0001740000" (hex (Wire.encode ~tag:"t" []));
   Alcotest.(check string) "exact encoding"
@@ -23,13 +20,54 @@ let test_transcript_challenge_stable () =
       ~label:"m" "hello"
   in
   let c = Transcript.challenge_bits t ~bits:128 in
-  (* the Fiat–Shamir challenge derivation is part of the signature format *)
-  Alcotest.(check string) "challenge"
-    (Bigint.to_hex c)
-    (Bigint.to_hex (Transcript.challenge_bits t ~bits:128));
-  check_digest "challenge bytes"
-    (hex (Sha256.digest (Bigint.to_bytes_be c)))
-    (Bigint.to_bytes_be c)
+  (* the Fiat–Shamir challenge derivation is part of the signature
+     format; absorb_num and challenge_bits run through both byte
+     conversions *)
+  Alcotest.(check string) "challenge" "0xa374959b29a25247a0796c10e272f36c"
+    (Bigint.to_hex c);
+  Alcotest.(check string) "challenge bytes" "a374959b29a25247a0796c10e272f36c"
+    (hex (Bigint.to_bytes_be c))
+
+(* to_bytes_be of values at byte and limb (26-bit) boundaries, minimal
+   and padded, and of_bytes_be back from both *)
+let test_byte_conversions_stable () =
+  let v512 =
+    Bigint.of_string
+      "0xfedcba9876543210f0e1d2c3b4a5968778695a4b3c2d1e0f0123456789abcdef\
+       00ff00ff00ff00ff80000000000000010000000000000001deadbeefcafebabe"
+  in
+  List.iter
+    (fun (label, v, len, minimal, padded) ->
+      Alcotest.(check string) (label ^ " minimal") minimal (hex (Bigint.to_bytes_be v));
+      Alcotest.(check string) (label ^ " padded") padded
+        (hex (Bigint.to_bytes_be ~len v));
+      Alcotest.(check string) (label ^ " of minimal") (Bigint.to_hex v)
+        (Bigint.to_hex (Bigint.of_bytes_be (Bigint.to_bytes_be v)));
+      Alcotest.(check string) (label ^ " of padded") (Bigint.to_hex v)
+        (Bigint.to_hex (Bigint.of_bytes_be (Bigint.to_bytes_be ~len v))))
+    [ ("0", Bigint.zero, 4, "", "00000000");
+      ("255", Bigint.of_int 255, 4, "ff", "000000ff");
+      ("256", Bigint.of_int 256, 4, "0100", "00000100");
+      ("2^26-1", Bigint.of_int ((1 lsl 26) - 1), 8, "03ffffff", "0000000003ffffff");
+      ("2^26", Bigint.of_int (1 lsl 26), 8, "04000000", "0000000004000000");
+      ("2^52+1", Bigint.of_int ((1 lsl 52) + 1), 9, "10000000000001",
+       "000010000000000001");
+      ("512-bit", v512, 70,
+       "fedcba9876543210f0e1d2c3b4a5968778695a4b3c2d1e0f0123456789abcdef\
+        00ff00ff00ff00ff80000000000000010000000000000001deadbeefcafebabe",
+       "000000000000\
+        fedcba9876543210f0e1d2c3b4a5968778695a4b3c2d1e0f0123456789abcdef\
+        00ff00ff00ff00ff80000000000000010000000000000001deadbeefcafebabe");
+    ];
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) ("of_bytes_be " ^ hex input) expected
+        (Bigint.to_hex (Bigint.of_bytes_be input)))
+    [ ("", "0x0"); ("\x00", "0x0"); ("\x00\x00\xff", "0xff");
+      ("\x00\x01\x00", "0x100");
+      ("\x00\x00\x00\x00\x03\xff\xff\xff", "0x3ffffff");
+      ("\x00\x04\x00\x00\x00", "0x4000000");
+      ("\x00\x00\x10\x00\x00\x00\x00\x00\x01", "0x10000000000001") ]
 
 let test_derived_sizes_stable () =
   (* signature sizes for the shipped 512-bit parameter set: any change
@@ -57,11 +95,21 @@ let test_interval_constants_stable () =
 let test_params_stable () =
   (* fingerprints of the embedded parameter sets: these are baked into
      every persisted state and every recorded transcript *)
-  let fp v = String.sub (hex (Sha256.digest (Bigint.to_bytes_be v))) 0 16 in
+  let fp v = hex (Sha256.digest (Bigint.to_bytes_be v)) in
   let s512 = Lazy.force Params.schnorr_512 in
   let r512 = Lazy.force Params.rsa_512 in
-  Alcotest.(check string) "schnorr_512.p" (fp s512.Groupgen.p) (fp s512.Groupgen.p);
-  (* record actual fingerprints so drift is caught *)
+  Alcotest.(check string) "schnorr_512.p"
+    "0e96c27bcaa28b850d9eee90e3447977c44564c114cd36f7d733cb2b0b58e305"
+    (fp s512.Groupgen.p);
+  Alcotest.(check string) "schnorr_512.q"
+    "0e7d0a528be84c89aeacce7fcb4922d92bd602398e94a9e8b6a02a5eea049e13"
+    (fp s512.Groupgen.q);
+  Alcotest.(check string) "schnorr_512.g"
+    "1d90b5d64838d15d4c6cefd2168bd12717ec90f6c75b5207dd81d6319acc1d02"
+    (fp s512.Groupgen.g);
+  Alcotest.(check string) "rsa_512.n"
+    "23c0e55a214d1e3e3f5070da5246bf24a375373a63c7602feb3410d6b72300e3"
+    (fp r512.Groupgen.n);
   Alcotest.(check bool) "schnorr_512 nonempty" true (Bigint.num_bits s512.Groupgen.p = 512);
   Alcotest.(check bool) "rsa_512 nonempty" true (Bigint.num_bits r512.Groupgen.n = 512);
   (* the derivation of the self-distinction base is format-bearing *)
@@ -78,6 +126,7 @@ let () =
     [ ( "formats",
         [ Alcotest.test_case "wire encoding" `Quick test_wire_encoding_stable;
           Alcotest.test_case "transcript challenge" `Quick test_transcript_challenge_stable;
+          Alcotest.test_case "byte conversions" `Quick test_byte_conversions_stable;
           Alcotest.test_case "derived sizes" `Quick test_derived_sizes_stable;
           Alcotest.test_case "interval constants" `Quick test_interval_constants_stable;
           Alcotest.test_case "parameter fingerprints" `Quick test_params_stable;
