@@ -4,7 +4,9 @@
 # long_factor), the shs_lint static-analysis
 # gates — untyped and typed whole-program passes, each with an
 # injected-violation check proving the gate can fail, and a
-# JSON-determinism check per pass — the bench regression gate
+# JSON-determinism check per pass — a bounds-check scan (no unsafe
+# array access or -unsafe flag, with a planted-violation check), the
+# bench regression gate
 # against the checked-in baseline (plus a perturbation check proving the
 # gate can fail), a bounded protocol-fuzz smoke, a 1000-session
 # concurrent-swarm determinism + isolation smoke, a deterministic
@@ -38,7 +40,8 @@ prom=$(mktemp /tmp/shs_prom_XXXXXX.txt)
 lintbad=$(mktemp -d /tmp/shs_lintbad_XXXXXX)
 swarm1=$(mktemp /tmp/shs_swarm1_XXXXXX.txt)
 swarm2=$(mktemp /tmp/shs_swarm2_XXXXXX.txt)
-trap 'if [ -f "$lintbad/dhies.ml.orig" ]; then mv "$lintbad/dhies.ml.orig" lib/pke/dhies.ml; fi; rm -f "$out" "$perturbed" "$trace1" "$trace2" "$fuzz1" "$fuzz2" "$lint1" "$lint2" "$prom" "$swarm1" "$swarm2"; rm -rf "$lintbad" "$prof1" "$prof2" "$dash1" "$dash2"' EXIT
+unsafebad=$(mktemp -d /tmp/shs_unsafebad_XXXXXX)
+trap 'if [ -f "$lintbad/dhies.ml.orig" ]; then mv "$lintbad/dhies.ml.orig" lib/pke/dhies.ml; fi; rm -f "$out" "$perturbed" "$trace1" "$trace2" "$fuzz1" "$fuzz2" "$lint1" "$lint2" "$prom" "$swarm1" "$swarm2"; rm -rf "$lintbad" "$prof1" "$prof2" "$dash1" "$dash2" "$unsafebad"' EXIT
 
 echo "== lint gate: zero non-baselined findings =="
 dune build @lint
@@ -103,6 +106,25 @@ cmp "$lint1" "$lint2"
 grep -q '"schema": "shs-lint/2"' "$lint1"
 grep -q '"pass": "typed"' "$lint1"
 grep -q '"actionable": 0' "$lint1"
+
+echo "== bounds checks: no unsafe array access, no -unsafe flag =="
+# the bigint kernels index limb arrays in tight loops, where an
+# unchecked read is most tempting; every access stays bounds-checked
+unsafe_scan () {
+  grep -rnE --include='*.ml' --include='*.mli' --include=dune \
+    'unsafe_get|unsafe_set|-unsafe' "$@"
+}
+if unsafe_scan lib bin bench dune; then
+  echo "ci: unsafe array access or -unsafe flag in the tree" >&2
+  exit 1
+fi
+# must-fail: a planted Array.unsafe_get has to trip the scan
+mkdir -p "$unsafebad/lib"
+echo 'let first a = Array.unsafe_get a 0' > "$unsafebad/lib/evil.ml"
+if ! unsafe_scan "$unsafebad/lib" > /dev/null; then
+  echo "ci: bounds-check scan missed a planted Array.unsafe_get" >&2
+  exit 1
+fi
 
 echo "== bench regression gate: compare vs BENCH_8.json =="
 # the live gate runs the same invocation that generated BENCH_8.json,

@@ -14,7 +14,11 @@
    limbs, 13 286-bit moduli; wider odd moduli take the division ladder.
    And limbs stay 26 bits wide: lazy carries need 2w + log2(2k) <= 62
    for w-bit limbs, so 28-bit limbs would cap k at 32 (896 bits), below
-   a 1024-bit RSA modulus.
+   a 1024-bit RSA modulus.  They also work in place: a residue in the
+   domain is exactly k limbs, each product overwrites its destination
+   (which may be an operand) and allocates nothing, and one chain
+   squares and multiplies a single accumulator for [pow_mod] and
+   [pow_mod_multi] alike.
 
    The Euclid kernel behind [gcd], [invert] and [jacobi] (Lehmer's
    method, module [Euclid]) spends it a third way: a batch of quotients
@@ -735,6 +739,9 @@ let jacobi a n =
   let g = Euclid.run ~quot ~batch:no_batch ~big:ignore n.mag r.mag in
   if Array.length g = 1 && g.(0) = 1 then !sign else 0
 
+(* the empty product: 1 mod m for m > 0 (every residue mod 1 is 0) *)
+let one_mod m = if equal m one then zero else one
+
 let pow_mod_naive b e m =
   if m.sign <= 0 then raise Division_by_zero;
   if e.sign < 0 then invalid_arg "Bigint.pow_mod_naive: negative exponent";
@@ -742,7 +749,7 @@ let pow_mod_naive b e m =
   if !Prof.active then Prof.charge Prof.Modexp ~words:(num_bits e);
   let b = erem b m in
   let nbits = num_bits e in
-  let acc = ref one in
+  let acc = ref (one_mod m) in
   for i = nbits - 1 downto 0 do
     acc := mul_mod !acc !acc m;
     if testbit e i then acc := mul_mod !acc b m
@@ -760,10 +767,17 @@ let pow_mod_naive b e m =
 (* a_j·b_{i-j} and m_j·n_{i-j} product plus the carry in — and the     *)
 (* carry is taken once per column; [max_limbs] keeps a column within a *)
 (* native int (file header).                                           *)
-(* [mont_sqr] takes each column's cross products a_j·a_l (j < l) once  *)
-(* and doubles them; it serves every squaring: the window squarings of *)
-(* [pow], the shared Straus chain of [mont_multi] and the table steps  *)
-(* of [fb_extend].                                                     *)
+(* [sqr_into] takes each column's cross products a_j·a_l (j < l) once  *)
+(* and doubles them; it serves every squaring: the shared chain of     *)
+(* [mont_multi] and the table steps of [fb_extend].                    *)
+(*                                                                     *)
+(* Both kernels write their k-limb result in place and allocate        *)
+(* nothing.  Inside the domain a residue is exactly k limbs, a zero    *)
+(* top limb included.  The destination may be either operand or both: *)
+(* column i >= k reads only limbs i-k+1 .. k-1 of the operands, so     *)
+(* output limb i-k is final when it is written.  The reduction limbs m *)
+(* live in one scratch array of the context; that is safe because the *)
+(* kernels make no callbacks and everything runs on one domain.        *)
 (* ------------------------------------------------------------------ *)
 
 module Montgomery = struct
@@ -771,7 +785,9 @@ module Montgomery = struct
     n_limbs : int array;  (* modulus magnitude, little-endian *)
     k : int;  (* limb count *)
     n0' : int;  (* -n^{-1} mod base *)
-    r2 : int array;  (* R^2 mod n, R = base^k *)
+    r2 : int array;  (* R^2 mod n, R = base^k, as k limbs *)
+    one : int array;  (* 1 as k limbs: the operand of the domain exit *)
+    m : int array;  (* scratch: the reduction limbs of the product in flight *)
     modulus : t;
   }
 
@@ -798,19 +814,13 @@ module Montgomery = struct
     let r2_v = erem r modulus in
     let r2 = Array.make k 0 in
     Array.blit r2_v.mag 0 r2 0 (Array.length r2_v.mag);
-    { n_limbs; k; n0'; r2; modulus }
-
-  let pad_to k v =
-    if Array.length v = k then v
-    else begin
-      let out = Array.make k 0 in
-      Array.blit v 0 out 0 (Array.length v);
-      out
-    end
+    let one_k = Array.make k 0 in
+    one_k.(0) <- 1;
+    { n_limbs; k; n0'; r2; one = one_k; m = Array.make k 0; modulus }
 
   (* Both kernels compute (x + m·n) / R with x = a·b (or a²) in two
      column sweeps.  Columns 0..k-1 choose the limb m_i that clears the
-     column's low limb; columns k..2k-2 emit output limb i-k into [u].
+     column's low limb; columns k..2k-2 emit output limb i-k into [dst].
      Each column's sum starts from the carry [c] out of the last. *)
 
   (* a squaring or a multiply is one bigint.mul, charged the 2k² limb
@@ -819,21 +829,30 @@ module Montgomery = struct
     Obs.incr mul_counter;
     if !Prof.active then Prof.charge Prof.Mul ~words:(2 * ctx.k * ctx.k)
 
-  (* the last column's carry, then the conditional subtraction: the
-     result lies in [0, 2n) and leaves in [0, n) *)
-  let finish ctx u c =
-    let k = ctx.k in
-    u.(k - 1) <- c land mask;
-    u.(k) <- c lsr limb_bits;
-    let out = Nat.norm u in
-    if Nat.compare out ctx.n_limbs >= 0 then Nat.sub out ctx.n_limbs else out
+  (* limbs i..0 of [d] as a number are >= those of [n] *)
+  let rec geq d n i =
+    i < 0 || (if d.(i) <> n.(i) then d.(i) > n.(i) else geq d n (i - 1))
 
-  (* a·b / R mod n *)
-  let mont_mul ctx a b =
+  (* the last column's carry, then the conditional subtraction.  The
+     result lies in [0, 2n): k limbs in [dst] plus the carry-out bit,
+     worth R > n.  It leaves in [0, n); when the bit is set, the borrow
+     out of the top limb cancels it. *)
+  let finish ctx dst c =
+    let k = ctx.k and n = ctx.n_limbs in
+    dst.(k - 1) <- c land mask;
+    if c lsr limb_bits <> 0 || geq dst n (k - 1) then begin
+      let borrow = ref 0 in
+      for i = 0 to k - 1 do
+        let d = dst.(i) - n.(i) - !borrow in
+        dst.(i) <- d land mask;
+        borrow := (d asr limb_bits) land 1
+      done
+    end
+
+  (* dst <- a·b / R mod n *)
+  let mul_into ctx dst a b =
     charge ctx;
-    let k = ctx.k and n = ctx.n_limbs and n0' = ctx.n0' in
-    let a = pad_to k a and b = pad_to k b in
-    let m = Array.make k 0 and u = Array.make (k + 1) 0 in
+    let k = ctx.k and n = ctx.n_limbs and n0' = ctx.n0' and m = ctx.m in
     let c = ref 0 in
     for i = 0 to k - 1 do
       let s = ref !c in
@@ -850,20 +869,18 @@ module Montgomery = struct
       for j = i - k + 1 to k - 1 do
         s := !s + (a.(j) * b.(i - j)) + (m.(j) * n.(i - j))
       done;
-      u.(i - k) <- !s land mask;
+      dst.(i - k) <- !s land mask;
       c := !s lsr limb_bits
     done;
-    finish ctx u !c
+    finish ctx dst !c
 
-  (* a² / R mod n.  Column i's cross products a_j·a_{i-j} with j < i-j
-     are summed once into [x] and doubled, plus a_{i/2}^2 when i is
-     even; the loop over them also takes the m·n products of the same
+  (* dst <- a² / R mod n.  Column i's cross products a_j·a_{i-j} with
+     j < i-j are summed once into [x] and doubled, plus a_{i/2}^2 when i
+     is even; the loop over them also takes the m·n products of the same
      j, and a second loop the rest of the column's m·n products. *)
-  let mont_sqr ctx a =
+  let sqr_into ctx dst a =
     charge ctx;
-    let k = ctx.k and n = ctx.n_limbs and n0' = ctx.n0' in
-    let a = pad_to k a in
-    let m = Array.make k 0 and u = Array.make (k + 1) 0 in
+    let k = ctx.k and n = ctx.n_limbs and n0' = ctx.n0' and m = ctx.m in
     let c = ref 0 in
     for i = 0 to k - 1 do
       let h = ((i + 1) / 2) - 1 in
@@ -893,48 +910,23 @@ module Montgomery = struct
       done;
       let sq = if i land 1 = 0 then a.(i / 2) * a.(i / 2) else 0 in
       let s = !s + (2 * !x) + sq in
-      u.(i - k) <- s land mask;
+      dst.(i - k) <- s land mask;
       c := s lsr limb_bits
     done;
-    finish ctx u !c
+    finish ctx dst !c
 
-  let to_mont ctx x = mont_mul ctx x.mag ctx.r2
+  (* a fresh residue x·R mod n; [x] must be reduced into [0, n) *)
+  let to_mont ctx x =
+    let d = Array.make ctx.k 0 in
+    Array.blit x.mag 0 d 0 (Array.length x.mag);
+    mul_into ctx d d ctx.r2;
+    d
 
-  let one_limbs ctx =
-    let a = Array.make ctx.k 0 in
-    a.(0) <- 1;
-    a
-
-  (* [mont_mul]'s conditional subtraction keeps every product < n, so a
-     value leaves the domain by one multiplication with 1 — no reduction *)
-  let from_limbs limbs = make 1 limbs
-
-  (* windowed ladder in the Montgomery domain; [b] must already be
-     reduced into [0, n) (every caller sits behind [pow_mod]'s erem) *)
-  let pow ctx b e =
-    let bm = to_mont ctx b in
-    let nbits = num_bits e in
-    let acc_start = mont_mul ctx (one_limbs ctx) ctx.r2 (* = R mod n = mont(1) *) in
-    let wbits = 4 in
-    let table = Array.make (1 lsl wbits) acc_start in
-    for i = 1 to (1 lsl wbits) - 1 do
-      table.(i) <- mont_mul ctx table.(i - 1) bm
-    done;
-    let acc = ref acc_start in
-    let nwindows = (nbits + wbits - 1) / wbits in
-    for w = nwindows - 1 downto 0 do
-      for _ = 1 to wbits do
-        acc := mont_sqr ctx !acc
-      done;
-      let digit = ref 0 in
-      for j = wbits - 1 downto 0 do
-        let bit = (w * wbits) + j in
-        digit := (!digit lsl 1) lor (if testbit e bit then 1 else 0)
-      done;
-      if !digit <> 0 then acc := mont_mul ctx !acc table.(!digit)
-    done;
-    (* leave the Montgomery domain *)
-    from_limbs (mont_mul ctx !acc (one_limbs ctx))
+  (* every product leaves in [0, n), so a residue leaves the domain by
+     one multiplication with 1 — no reduction.  Consumes [acc]. *)
+  let from_mont ctx acc =
+    mul_into ctx acc acc ctx.one;
+    make 1 acc
 end
 
 (* Fixed 4-bit window exponentiation. *)
@@ -961,7 +953,7 @@ let windowed_div_pow b e m nbits =
     table.(i) <- mul_mod table.(i - 1) b m
   done;
   let nwindows = (nbits + window_bits - 1) / window_bits in
-  let acc = ref one in
+  let acc = ref (one_mod m) in
   for w = nwindows - 1 downto 0 do
     for _ = 1 to window_bits do acc := mul_mod !acc !acc m done;
     let digit = ref 0 in
@@ -1014,42 +1006,6 @@ let pow_mod_div b e m =
   if !Prof.active then Prof.charge Prof.Modexp ~words:(num_bits e);
   windowed_div_pow (erem b m) e m (num_bits e)
 
-(* dispatch for a reduced base and non-negative exponent; shared by
-   [pow_mod] and the folded arm of [pow_mod_multi] *)
-let pow_mod_body b e m =
-  let nbits = num_bits e in
-  if nbits <= window_bits * 2 then begin
-    (* tiny exponent: plain ladder, skip table setup *)
-    let acc = ref one in
-    for i = nbits - 1 downto 0 do
-      acc := mul_mod !acc !acc m;
-      if testbit e i then acc := mul_mod !acc b m
-    done;
-    !acc
-  end
-  else if mont_ok m then
-    (* odd modulus, real exponent: Montgomery domain.  Contexts are
-       cached: a run touches only a handful of moduli (the RSA n, the
-       Schnorr p, ...) and context creation costs a full division. *)
-    Montgomery.pow (mont_ctx m) b e
-  else windowed_div_pow b e m nbits
-
-let rec pow_mod b e m =
-  if m.sign <= 0 then raise Division_by_zero;
-  if e.sign < 0 then
-    (* invert once, then take the normal positive-exponent path — the
-       counter bump and Modexp charge happen in the recursive call, so
-       every [pow_mod] counts exactly once *)
-    let inv = try invert b m with Not_found ->
-      invalid_arg "Bigint.pow_mod: base not invertible for negative exponent"
-    in
-    pow_mod inv (neg e) m
-  else begin
-    Obs.incr pow_mod_counter;
-    if !Prof.active then Prof.charge Prof.Modexp ~words:(num_bits e);
-    pow_mod_body (erem b m) e m
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Simultaneous multi-exponentiation (Straus/Shamir) with fixed-base   *)
 (* windowed tables.  A product Π bᵢ^eᵢ mod m is evaluated inside the   *)
@@ -1057,6 +1013,7 @@ let rec pow_mod b e m =
 (* exit; bases seen often enough (the scheme generators g, h, a, y …)  *)
 (* additionally get a cached table F[j][d] = base^(d·2^(4j)) so their  *)
 (* contribution costs only window multiplies — no squarings at all.    *)
+(* [pow_mod] is the one-term case without the cached tables.           *)
 (* ------------------------------------------------------------------ *)
 
 type multi_mode = Folded | Multi | Multi_fixed
@@ -1074,7 +1031,8 @@ type fb_entry = {
   mutable fb_uses : int;
   mutable fb_inv : t option;  (* cached modular inverse (negative exponents) *)
   (* fb_windows.(j).(d-1) = base^(d·2^(window_bits·j)) in the Montgomery
-     domain, grown window-by-window as larger exponents arrive *)
+     domain, grown window-by-window as larger exponents arrive; the
+     entries are never written once built *)
   mutable fb_windows : int array array array;
   mutable fb_next_pow : int array;  (* base^(2^(window_bits·|fb_windows|)), mont *)
 }
@@ -1125,12 +1083,15 @@ let fb_extend ctx e nwindows =
       let p = e.fb_next_pow in
       let w = Array.make ((1 lsl window_bits) - 1) p in
       for d = 1 to Array.length w - 1 do
-        w.(d) <- Montgomery.mont_mul ctx w.(d - 1) p
+        let x = Array.make ctx.Montgomery.k 0 in
+        Montgomery.mul_into ctx x w.(d - 1) p;
+        w.(d) <- x
       done;
       grown.(j) <- w;
-      let q = ref p in
-      for _ = 1 to window_bits do q := Montgomery.mont_sqr ctx !q done;
-      e.fb_next_pow <- !q
+      (* p is the table entry w.(0): square a copy *)
+      let q = Array.copy p in
+      for _ = 1 to window_bits do Montgomery.sqr_into ctx q q done;
+      e.fb_next_pow <- q
     done;
     e.fb_windows <- grown
   end
@@ -1154,12 +1115,14 @@ let window_digit e w =
   done;
   !digit
 
-(* Straus/Shamir core: bases reduced and nonzero, exponents positive,
-   modulus odd and large enough for Montgomery *)
+(* Straus/Shamir core: bases reduced, exponents positive, modulus
+   [mont_ok].  One chain squares and multiplies a single accumulator in
+   place; it starts as a fresh mont(1), never as a table entry, so no
+   cached table is ever written. *)
 let mont_multi ~fixed_tables m pairs =
   let ctx = mont_ctx m in
-  let mont_one = Montgomery.(mont_mul ctx (one_limbs ctx) ctx.r2) in
-  let acc = ref mont_one in
+  let acc = Array.make ctx.Montgomery.k 0 in
+  Montgomery.mul_into ctx acc ctx.Montgomery.one ctx.Montgomery.r2;
   let fixed, dyn =
     if fixed_tables then
       List.partition_map
@@ -1179,7 +1142,9 @@ let mont_multi ~fixed_tables m pairs =
            let t = Array.make (1 lsl window_bits) [||] in
            t.(1) <- Montgomery.to_mont ctx b;
            for d = 2 to Array.length t - 1 do
-             t.(d) <- Montgomery.mont_mul ctx t.(d - 1) t.(1)
+             let x = Array.make ctx.Montgomery.k 0 in
+             Montgomery.mul_into ctx x t.(d - 1) t.(1);
+             t.(d) <- x
            done;
            (t, e))
          dyn
@@ -1190,12 +1155,12 @@ let mont_multi ~fixed_tables m pairs =
      let nwindows = (nbits + window_bits - 1) / window_bits in
      for w = nwindows - 1 downto 0 do
        for _ = 1 to window_bits do
-         acc := Montgomery.mont_sqr ctx !acc
+         Montgomery.sqr_into ctx acc acc
        done;
        List.iter
          (fun (t, e) ->
            let d = window_digit e w in
-           if d <> 0 then acc := Montgomery.mont_mul ctx !acc t.(d))
+           if d <> 0 then Montgomery.mul_into ctx acc acc t.(d))
          tabs
      done);
   (* fixed-base contributions are squaring-free and position-independent,
@@ -1205,10 +1170,47 @@ let mont_multi ~fixed_tables m pairs =
       let nwindows = (num_bits e + window_bits - 1) / window_bits in
       for w = 0 to nwindows - 1 do
         let d = window_digit e w in
-        if d <> 0 then acc := Montgomery.mont_mul ctx !acc windows.(w).(d - 1)
+        if d <> 0 then Montgomery.mul_into ctx acc acc windows.(w).(d - 1)
       done)
     fixed;
-  Montgomery.from_limbs (Montgomery.mont_mul ctx !acc (Montgomery.one_limbs ctx))
+  Montgomery.from_mont ctx acc
+
+(* dispatch for a reduced base and non-negative exponent; shared by
+   [pow_mod] and the folded arm of [pow_mod_multi] *)
+let pow_mod_body b e m =
+  let nbits = num_bits e in
+  if nbits <= window_bits * 2 then begin
+    (* tiny exponent: plain ladder, skip table setup *)
+    let acc = ref (one_mod m) in
+    for i = nbits - 1 downto 0 do
+      acc := mul_mod !acc !acc m;
+      if testbit e i then acc := mul_mod !acc b m
+    done;
+    !acc
+  end
+  else if mont_ok m then
+    (* odd modulus, real exponent: the Montgomery chain with one dynamic
+       base.  Contexts are cached: a run touches only a handful of
+       moduli (the RSA n, the Schnorr p, ...) and context creation costs
+       a full division. *)
+    mont_multi ~fixed_tables:false m [ (b, e) ]
+  else windowed_div_pow b e m nbits
+
+let rec pow_mod b e m =
+  if m.sign <= 0 then raise Division_by_zero;
+  if e.sign < 0 then
+    (* invert once, then take the normal positive-exponent path — the
+       counter bump and Modexp charge happen in the recursive call, so
+       every [pow_mod] counts exactly once *)
+    let inv = try invert b m with Not_found ->
+      invalid_arg "Bigint.pow_mod: base not invertible for negative exponent"
+    in
+    pow_mod inv (neg e) m
+  else begin
+    Obs.incr pow_mod_counter;
+    if !Prof.active then Prof.charge Prof.Modexp ~words:(num_bits e);
+    pow_mod_body (erem b m) e m
+  end
 
 let pow_mod_multi pairs m =
   if m.sign <= 0 then raise Division_by_zero;
@@ -1218,7 +1220,8 @@ let pow_mod_multi pairs m =
       ~words:(List.fold_left (fun a (_, e) -> a + num_bits e) 0 pairs);
   let mode = !multi_mode_ref in
   let mont_ok = mont_ok m in
-  let invert_base b =
+  (* [rb] is the base reduced mod m *)
+  let invert_base rb =
     let fail () =
       invalid_arg
         "Bigint.pow_mod_multi: base not invertible for negative exponent"
@@ -1226,7 +1229,6 @@ let pow_mod_multi pairs m =
     if mode = Multi_fixed && mont_ok then begin
       (* park the inverse on the base's fixed-base entry so recurring
          negative-exponent terms pay the inversion once, not per call *)
-      let rb = erem b m in
       if is_zero rb then fail ();
       let en = fb_entry rb m in
       (* count the use so a recurring negative-exponent base stays warm
@@ -1239,7 +1241,7 @@ let pow_mod_multi pairs m =
         en.fb_inv <- Some i;
         i
     end
-    else try invert b m with Not_found -> fail ()
+    else try invert rb m with Not_found -> fail ()
   in
   let zero_factor = ref false in
   let pairs =
@@ -1247,21 +1249,25 @@ let pow_mod_multi pairs m =
       (fun (b, e) ->
         if is_zero e then None
         else begin
-          let b, e =
-            if e.sign < 0 then (invert_base b, neg e) else (erem b m, e)
-          in
-          if is_zero b then begin
-            zero_factor := true;
-            None
+          let rb = erem b m in
+          (* 1^e = 1 for every e, negative ones included: the term goes
+             before any inversion and builds no table *)
+          if equal rb one then None
+          else begin
+            let b, e = if e.sign < 0 then (invert_base rb, neg e) else (rb, e) in
+            if is_zero b then begin
+              zero_factor := true;
+              None
+            end
+            else Some (b, e)
           end
-          else Some (b, e)
         end)
       pairs
   in
   if !zero_factor then zero
   else
     match pairs with
-    | [] -> erem one m
+    | [] -> one_mod m
     | pairs ->
       if mode <> Folded && mont_ok then
         mont_multi ~fixed_tables:(mode = Multi_fixed) m pairs
@@ -1270,8 +1276,7 @@ let pow_mod_multi pairs m =
            independent windowed ladders, one mul_mod between terms *)
         List.fold_left
           (fun acc (b, e) -> mul_mod acc (pow_mod_body b e m) m)
-          (erem one m) pairs
-
+          (one_mod m) pairs
 let reset_caches () =
   Hashtbl.reset mont_cache;
   Hashtbl.reset fb_cache;

@@ -4,7 +4,9 @@
     supplies the arithmetic substrate for every cryptographic component of
     the secret-handshake framework: schoolbook multiplication, Knuth
     algorithm-D division, modular exponentiation with a fixed 4-bit
-    window, big-endian byte serialization, and one Euclid kernel
+    window on in-place, allocation-free Montgomery kernels (one chain
+    serves {!pow_mod} and {!pow_mod_multi}; recurring bases get cached
+    fixed-base tables), big-endian byte serialization, and one Euclid kernel
     accelerated by Lehmer's method (Knuth algorithm L) that serves
     {!gcd}, {!invert} and {!jacobi}.  The kernel simulates quotients in
     native ints on the top 60 bits of the pair, ends a batch before any
@@ -119,10 +121,10 @@ val mul_mod : t -> t -> t -> t
 val pow_mod : t -> t -> t -> t
 (** [pow_mod b e m] computes [b^e mod m] for [m > 0].  Negative exponents
     are supported when [b] is invertible modulo [m] (the inverse is taken
-    first).  A 4-bit fixed-window ladder over Montgomery multiplication
-    and squaring for odd moduli of 64 to 13 286 bits (the common case in
-    this code base; 511 limbs is the kernels' lazy-carry bound), and
-    division-based reduction otherwise.
+    first).  For odd moduli of 64 to 13 286 bits (the common case in
+    this code base; 511 limbs is the kernels' lazy-carry bound) this is
+    {!pow_mod_multi}'s Montgomery chain with one term and no cached
+    table; division-based reduction otherwise.  [b^0 mod 1 = 0].
     @raise Division_by_zero if [m] is zero.
     @raise Invalid_argument if [e < 0] and [b] is not invertible mod [m]. *)
 
@@ -138,8 +140,9 @@ val pow_mod_multi : (t * t) list -> t -> t
     across calls — the scheme generators every session reuses — earn a
     cached fixed-base window table, after which their contribution costs
     only window multiplies.  Negative exponents invert the base first
-    (the inverse is cached with the table); pairs with [eᵢ = 0] are
-    dropped; the empty product is [1 mod m].
+    (the inverse is cached with the table); pairs with [eᵢ = 0] or
+    [bᵢ ≡ 1] are dropped, the latter before any inversion; the empty
+    product is [1 mod m].
     @raise Division_by_zero if [m] is zero or negative.
     @raise Invalid_argument if some [eᵢ < 0] with [bᵢ] not invertible. *)
 

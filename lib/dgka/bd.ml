@@ -51,7 +51,8 @@ let filled arr =
 let start t =
   Obs.incr start_counter;
   Prof.frame "dgka.bd.start" @@ fun () ->
-  let z_self = B.pow_mod t.grp.Groupgen.g t.r t.grp.Groupgen.p in
+  (* g recurs in every session: its fixed-base table serves z_i *)
+  let z_self = B.pow_mod_multi [ (t.grp.Groupgen.g, t.r) ] t.grp.Groupgen.p in
   t.z.(t.self) <- Some z_self;
   [ (None, Wire.encode ~tag:"bd1" [ enc t z_self ]) ]
 

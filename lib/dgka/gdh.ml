@@ -50,7 +50,7 @@ let start t =
     t.done_up <- true;
     let p = t.grp.Groupgen.p in
     let g = t.grp.Groupgen.g in
-    let full = B.pow_mod g t.r p in
+    let full = B.pow_mod_multi [ (g, t.r) ] p in
     (* upflow to party 1: [missing r_0; full] *)
     [ (Some 1, Wire.encode ~tag:"gdh-up" [ enc t g; enc t full ]) ]
   end

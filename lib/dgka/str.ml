@@ -70,7 +70,7 @@ let sponsor_round t =
     let rec chain i k acc =
       if i = t.n then (k, List.rev acc)
       else begin
-        let bgk = B.pow_mod t.grp.Groupgen.g k p in
+        let bgk = B.pow_mod_multi [ (t.grp.Groupgen.g, k) ] p in
         chain (i + 1) (B.pow_mod bk.(i) k p) (enc t bgk :: acc)
       end
     in
@@ -100,7 +100,7 @@ let process_downflow t bgks =
 let start t =
   Obs.incr start_counter;
   Prof.frame "dgka.str.start" @@ fun () ->
-  let bk_self = B.pow_mod t.grp.Groupgen.g t.r t.grp.Groupgen.p in
+  let bk_self = B.pow_mod_multi [ (t.grp.Groupgen.g, t.r) ] t.grp.Groupgen.p in
   t.bk.(t.self) <- Some bk_self;
   [ (None, Wire.encode ~tag:"str1" [ enc t bk_self ]) ]
 

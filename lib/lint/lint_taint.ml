@@ -13,9 +13,10 @@
       declared taint boundary; secrecy of a field is configuration —
       [secret_fields]), and values of immediate type (int/bool/...) are
       clamped clean, so [String.length key = 32] never fires;
-    - unknown external functions {e cleanse} unless listed transparent —
-      in particular [Bigint] modular arithmetic cleanses (the blinding
-      boundary) while its byte/string conversions propagate;
+    - unknown external functions {e cleanse} unless listed transparent,
+      and so does every call into [Bigint] whatever its summary says —
+      modular arithmetic is the blinding boundary — while its
+      byte/string conversions ([transparent_fns]) propagate;
     - witnesses freeze at first discovery, which keeps the fixpoint
       monotone: a later, shorter path never replaces a recorded one. *)
 
@@ -130,6 +131,14 @@ let mod_head name =
   match String.index_opt name '.' with
   | Some i -> String.sub name 0 i
   | None -> ""
+
+(* The blinding boundary.  [Bigint] is program code, so its calls would
+   return whatever their summaries say, and those differ between entry
+   points into the same arithmetic ([pow_mod_multi]'s passes the
+   exponent's taint on, [pow_mod]'s does not).  A call into it that is
+   neither transparent nor a compare sink returns clean; the callee's
+   own sinks still fire. *)
+let blinding_module = "Bigint"
 
 let step_at ctx e what =
   let line, _ = Lint_tast.loc_of e in
@@ -439,7 +448,9 @@ and eval_desc ctx env (e : Typedtree.expression) : taint =
                let s = lookup_summary ctx t.t_qual in
                apply_cond_sinks ctx ~site:e ~callee:t.t_qual s.s_sinks
                  arg_taints;
-               join acc (instantiate_ret ctx ~site:e ~callee:t.t_qual s arg_taints))
+               if String.equal (mod_head t.t_qual) blinding_module then acc
+               else
+                 join acc (instantiate_ret ctx ~site:e ~callee:t.t_qual s arg_taints))
              bot cands
          | Lint_tast.Local id ->
            (* applying a local function value: its captured taint plus

@@ -7,8 +7,11 @@
    exports can reconstruct every path without the hot path ever touching
    it.  GC allocation deltas are settled lazily, only when the frame
    stack changes shape (push/pop/disable), so the data path between two
-   frame boundaries costs one [Gc.counters] read at each end no matter
-   how many primitives ran inside. *)
+   frame boundaries costs one counter read at each end no matter how
+   many primitives ran inside.  Minor words come from [Gc.minor_words],
+   which counts every word including the minor heap's live part and
+   allocates nothing; [Gc.counters]'s minor count advances only at
+   minor collections on OCaml 5, so only its major count is used. *)
 
 type op = Mul | Reduce | Modexp | Inv | Multi_exp
 
@@ -49,14 +52,14 @@ let last_minor = ref 0.0
 let last_major = ref 0.0
 
 let settle node =
-  let minor, _, major = Gc.counters () in
+  let minor = Gc.minor_words () and _, _, major = Gc.counters () in
   node.f_minor <- node.f_minor +. (minor -. !last_minor);
   node.f_major <- node.f_major +. (major -. !last_major);
   last_minor := minor;
   last_major := major
 
 let rebaseline () =
-  let minor, _, major = Gc.counters () in
+  let minor = Gc.minor_words () and _, _, major = Gc.counters () in
   last_minor := minor;
   last_major := major
 

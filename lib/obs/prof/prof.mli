@@ -14,19 +14,20 @@
     runs: the tree shape is the call structure, and the weights are
     operation counts, limb-word estimates, and allocation word counts.
     Calls and words are pure functions of the computation and replay
-    exactly even within one process; the allocation split is exact only
-    to the runtime's accounting granularity ([Gc.counters] deltas move
-    by minor-heap-sized quanta with collection timing), so its
-    per-frame attribution is reproducible when the whole process
-    history is — which is what [bin/ci.sh] checks by running
-    [shs_demo profile] twice and comparing bytes.  [bin/shs_demo
+    exactly even within one process, and so do minor-heap words:
+    [Gc.minor_words] counts every allocated word, independent of when
+    minor collections happen.  Major-heap words (promotions included)
+    do depend on collection timing, and are reproducible only when the
+    whole process history is — which is what [bin/ci.sh] checks by
+    running [shs_demo profile] twice and comparing bytes.  [bin/shs_demo
     profile] exports the tree as collapsed-stack text (flamegraph.pl
     compatible) and speedscope JSON; bench e13 turns it into
     shs-bench/1 series the regression gate tracks.
 
     The profiler is process-global, like the [Obs] registry it layers
     on.  Charging is O(1) per primitive (two array bumps on the current
-    frame); [Gc.counters] is read only when the stack changes shape. *)
+    frame); the allocation counters are read only when the stack
+    changes shape. *)
 
 (** {1 Charging} *)
 

@@ -24,8 +24,10 @@ let dem_key grp ~eph ~shared =
 let encrypt ~rng ~pk ?pad_to msg =
   let grp = pk.grp in
   let r = Groupgen.schnorr_exponent ~rng grp in
-  let eph = B.pow_mod grp.Groupgen.g r grp.Groupgen.p in
-  let shared = B.pow_mod pk.y r grp.Groupgen.p in
+  (* g and the recipient's y recur across encryptions: both take their
+     fixed-base tables *)
+  let eph = B.pow_mod_multi [ (grp.Groupgen.g, r) ] grp.Groupgen.p in
+  let shared = B.pow_mod_multi [ (pk.y, r) ] grp.Groupgen.p in
   let key = dem_key grp ~eph ~shared in
   let box = Secretbox.seal ~key ~rng ?pad_to msg in
   B.to_bytes_be ~len:(elem_len grp) eph ^ box

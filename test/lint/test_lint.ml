@@ -429,6 +429,47 @@ let test_typed_total_decode_cross_module () =
   | fs ->
     Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
+(* The blinding boundary: a fixture bignum module [m] whose
+   [pow_mod_multi] summary passes its argument's taint through, one
+   wire sink, and [m.to_bytes_be] as the one transparent conversion. *)
+let run_blinding m =
+  Lint_typed_rules.run
+    ~config:
+      { typed_config with
+        transparent_fns = [ m ^ ".to_bytes_be" ];
+        wire_sinks = [ "Wire.encode" ];
+      }
+    (typecheck
+       [ ("lib/gsig/a.ml", "A", "let gen () = \"k\"\n");
+         ( "lib/bigint/n.ml",
+           m,
+           "let pow_mod_multi pairs = match pairs with (_, e) :: _ -> e | [] -> \"\"\n\
+            let to_bytes_be x = x\n" );
+         ("lib/wire/wire.ml", "Wire", "let encode s = s\n");
+         ( "lib/core/u.ml",
+           "U",
+           Printf.sprintf
+             "let blinded () = Wire.encode (%s.pow_mod_multi [ (\"g\", A.gen ()) ])\n\
+              let leak () = Wire.encode (%s.to_bytes_be (A.gen ()))\n"
+             m m );
+       ])
+
+let test_typed_blinding_boundary () =
+  (* a secret exponent through Bigint.pow_mod_multi reaches the wire
+     clean; the same secret through the byte view still fires *)
+  (match run_blinding "Bigint" with
+   | [ (f, false) ] ->
+     Alcotest.(check string) "rule" "NO-PLAINTEXT-WIRE" f.Lint_types.rule;
+     Alcotest.(check string) "binding" "leak" f.Lint_types.binding;
+     Alcotest.(check bool) "witness names the source" true
+       (contains_sub (String.concat " | " f.Lint_types.path) "A.gen")
+   | fs ->
+     Alcotest.failf "expected exactly one finding, got %d" (List.length fs));
+  (* the fixture's summary does carry the taint: under any other module
+     name both calls fire *)
+  Alcotest.(check int) "both fire outside Bigint" 2
+    (List.length (run_blinding "Bignum"))
+
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -511,5 +552,7 @@ let () =
             test_typed_total_decode_cross_module;
           Alcotest.test_case "deterministic typed JSON" `Quick
             test_typed_json_determinism;
+          Alcotest.test_case "Bigint is the blinding boundary" `Quick
+            test_typed_blinding_boundary;
         ] );
     ]

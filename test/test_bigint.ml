@@ -583,6 +583,51 @@ let test_multi_edge_cases () =
       (B.equal expected (B.pow_mod_multi [ (g, e200) ] m107))
   done
 
+(* every residue mod 1 is 0, the empty product included *)
+let test_modulus_one () =
+  let m1 = B.one in
+  List.iter
+    (fun e ->
+      let msg name = Printf.sprintf "%s b^%s mod 1" name (B.to_string e) in
+      check_b (msg "pow_mod") "0" (B.pow_mod (b "7") e m1);
+      check_b (msg "pow_mod_div") "0" (B.pow_mod_div (b "7") e m1);
+      check_b (msg "pow_mod_naive") "0" (B.pow_mod_naive (b "7") e m1);
+      List.iter
+        (fun mode ->
+          check_b (msg "pow_mod_multi") "0"
+            (in_mode mode (fun () -> B.pow_mod_multi [ (b "7", e) ] m1)))
+        all_modes)
+    [ B.zero; B.one; b "12345" ]
+
+(* a term whose base reduces to 1 is dropped before any inversion or
+   table: the product costs what the other terms cost, in every mode *)
+let test_base_one_dropped () =
+  let e200 = B.pred (B.shift_left B.one 200) in
+  let g = b "123456789" in
+  let muls f =
+    let c0 = B.mul_count () in
+    let r = f () in
+    (r, B.mul_count () - c0)
+  in
+  List.iter
+    (fun mode ->
+      in_mode mode (fun () ->
+          B.reset_caches ();
+          let alone, c_alone = muls (fun () -> B.pow_mod_multi [ (g, e200) ] m107) in
+          B.reset_caches ();
+          let with_ones, c_ones =
+            muls (fun () ->
+                B.pow_mod_multi
+                  [ (B.one, e200); (g, e200); (B.succ m107, B.neg e200) ]
+                  m107)
+          in
+          Alcotest.(check bool) "same product" true (B.equal alone with_ones);
+          Alcotest.(check int) "same multiplications" c_alone c_ones;
+          Alcotest.(check int) "no table entry for 1"
+            (if mode = B.Multi_fixed then 1 else 0)
+            (B.fixed_base_cache_size ())))
+    all_modes
+
 (* ------------------------------------------------------------------ *)
 (* Montgomery kernels at real sizes, with adversarial limbs             *)
 (* ------------------------------------------------------------------ *)
@@ -643,7 +688,11 @@ let div_product terms n =
 let wide_props =
   [ qtest "montgomery agrees with division ladder at 512-2048 bits"
       ~count:20 ~long_factor:20 gen_wide
-      (fun (n, (b_, e), _) -> B.equal (B.pow_mod b_ e n) (B.pow_mod_div b_ e n));
+      (fun (n, (b_, e), _) ->
+        (* one-base pow_mod is the Multi arm's chain with one term *)
+        let r = B.pow_mod b_ e n in
+        B.equal r (B.pow_mod_div b_ e n)
+        && B.equal r (in_mode B.Multi (fun () -> B.pow_mod_multi [ (b_, e) ] n)));
     qtest "Straus chain agrees with division ladder at 512-2048 bits"
       ~count:10 ~long_factor:20 gen_wide
       (fun (n, t1, t2) ->
@@ -659,6 +708,124 @@ let wide_props =
             for _ = 1 to 4 do ignore (B.pow_mod_multi [ (b1, B.one) ] n) done;
             B.equal (B.pow_mod_multi [ t1; t2 ] n) (div_product [ t1; t2 ] n)));
   ]
+
+(* ------------------------------------------------------------------ *)
+(* The in-place chains against the division ladder: residues with a    *)
+(* zero top limb, products that carry out of the top limb, window      *)
+(* digits of 0 and 15, and cached tables that a chain must not write   *)
+(* ------------------------------------------------------------------ *)
+
+(* 2^(26(k-1)) + 1: a top limb of 1, so most residues have a zero one *)
+let small_top k = B.succ (B.shift_left B.one (26 * (k - 1)))
+
+(* 2^(26k) - 2t - 1: every limb but the lowest maximal, so a product
+   before the subtraction often reaches 2^(26k) *)
+let near_top k t = B.sub (all_ones k) (B.of_int (2 * t))
+
+(* pow_mod, the Multi arm and a fixed-base table (built by four
+   exponent-1 sightings, then extended for [e]) against pow_mod_div *)
+let chains_agree n b_ e =
+  let expected = B.pow_mod_div b_ e n in
+  B.equal (B.pow_mod b_ e n) expected
+  && B.equal (in_mode B.Multi (fun () -> B.pow_mod_multi [ (b_, e) ] n)) expected
+  && in_mode B.Multi_fixed (fun () ->
+         for _ = 1 to 4 do ignore (B.pow_mod_multi [ (b_, B.one) ] n) done;
+         B.equal (B.pow_mod_multi [ (b_, e) ] n) expected)
+
+(* a modulus of class [modulus k] at 20, 40 or 79 limbs, a base from
+   {n-1, 2^(26(k-1)), uniform below n} and an exponent of 9 to 200 bits *)
+let gen_class modulus =
+  let open QCheck2.Gen in
+  let* k = oneofl [ 20; 40; 79 ] in
+  let* n = modulus k in
+  let* b_ =
+    oneof
+      [ pure (B.pred n);
+        pure (B.shift_left B.one (26 * (k - 1)));
+        map (fun seed -> B.random_below (Test_rng.make seed) n) (int_bound max_int) ]
+  in
+  let* e =
+    map
+      (fun (nb, seed) ->
+        B.add (B.shift_left B.one (nb - 1))
+          (B.random_bits (Test_rng.make seed) (nb - 1)))
+      (pair (int_range 9 200) (int_bound max_int))
+  in
+  pure (n, b_, e)
+
+let gen_small_top =
+  gen_class (fun k ->
+      QCheck2.Gen.(
+        oneof
+          [ pure (small_top k);
+            (* a top limb below 16 over uniform lower limbs *)
+            map
+              (fun (t, rest) ->
+                let v = of_limbs (t :: rest) in
+                if B.is_even v then B.succ v else v)
+              (pair (int_range 1 15) (list_repeat (k - 1) (int_bound limb_max))) ]))
+
+let gen_near_top =
+  gen_class (fun k -> QCheck2.Gen.map (near_top k) (QCheck2.Gen.int_bound (1 lsl 20)))
+
+let chain_props =
+  [ qtest "chains agree with division ladder, small top limb" ~count:15
+      ~long_factor:20 gen_small_top
+      (fun (n, b_, e) -> chains_agree n b_ e);
+    qtest "chains agree with division ladder, carry out of top limb" ~count:15
+      ~long_factor:20 gen_near_top
+      (fun (n, b_, e) -> chains_agree n b_ e);
+  ]
+
+(* exponents 0, 1, 2^j and 2^j - 1 (every window digit 15) on the three
+   modulus classes, through every entry point *)
+let test_chain_exponent_edges () =
+  let exps =
+    [ B.zero; B.one; B.two ]
+    @ List.map (B.shift_left B.one) [ 4; 8; 9; 64; 255 ]
+    @ List.map (fun j -> B.pred (B.shift_left B.one j)) [ 8; 9; 64; 256 ]
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun n ->
+          let bases = [ B.pred n; B.random_below (Test_rng.make k) n ] in
+          List.iter
+            (fun b_ ->
+              List.iter
+                (fun e ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "k=%d e=%s" k (B.to_hex e))
+                    true (chains_agree n b_ e))
+                exps)
+            bases)
+        [ small_top k; near_top k 0; near_top k 12345 ])
+    [ 20; 79 ]
+
+(* a warm fixed-base product, an unrelated chain on the same modulus,
+   then the first product again: a chain that wrote into a cached table
+   entry would change the third answer *)
+let test_fixed_base_cache_integrity () =
+  B.reset_caches ();
+  List.iter
+    (fun n ->
+      let g = B.random_below (Test_rng.make 11) n in
+      let h = B.random_below (Test_rng.make 12) n in
+      let e1 = B.pred (B.shift_left B.one 200) in
+      let e2 = B.random_bits (Test_rng.make 13) 300 in
+      let reference pairs = div_product pairs n in
+      in_mode B.Multi_fixed (fun () ->
+          (* four sightings: the last builds g's table *)
+          for _ = 1 to 4 do ignore (B.pow_mod_multi [ (g, e1) ] n) done;
+          let check msg pairs =
+            Alcotest.(check bool) msg true
+              (B.equal (B.pow_mod_multi pairs n) (reference pairs))
+          in
+          check "warm fixed-base product" [ (g, e1) ];
+          check "unrelated chain" [ (h, e2); (B.succ g, e1) ];
+          ignore (B.pow_mod h e2 n);
+          check "first product again" [ (g, e1) ]))
+    [ small_top 20; near_top 20 7; all_ones 40 ]
 
 (* The lazy-carry bound: 511 limbs is the widest modulus the Montgomery
    kernels accept.  At 512 limbs pow_mod and pow_mod_multi must take the
@@ -739,9 +906,10 @@ let test_neg_exponent_uses_fast_path () =
 (* satellite regression: with a warm context, a Montgomery pow_mod
    charges exactly ONE Prof.Reduce — the caller-side erem of the
    oversized base.  The pre-fix code charged two more: a redundant
-   second reduction of the already-reduced base inside Montgomery.pow,
-   and a full Knuth division on domain exit even though mont_mul's
-   conditional subtraction already guarantees the result is < n. *)
+   second reduction of the already-reduced base in the Montgomery
+   ladder, and a full Knuth division on domain exit even though the
+   kernel's conditional subtraction already guarantees the result is
+   < n. *)
 let test_montgomery_single_reduce () =
   let e200 = B.pred (B.shift_left B.one 200) in
   let big_b = B.pred (B.shift_left m107 1) (* 2m-1: above m, same limb count *) in
@@ -812,9 +980,20 @@ let () =
             test_euclid_small_grid;
           Alcotest.test_case "edge cases" `Quick test_euclid_edges ]
         @ euclid_props );
-      ("multi-exp", multi_unit_tests @ multi_props);
+      ( "multi-exp",
+        multi_unit_tests @ multi_props
+        @ [ Alcotest.test_case "every entry point: residues mod 1" `Quick
+              test_modulus_one;
+            Alcotest.test_case "base-1 terms are dropped" `Quick
+              test_base_one_dropped ] );
       ( "montgomery-wide",
         Alcotest.test_case "lazy-carry bound at 511/512 limbs" `Quick
           test_lazy_carry_bound
         :: wide_props );
+      ( "in-place chains",
+        [ Alcotest.test_case "exponents 0, 1, 2^j, 2^j - 1" `Quick
+            test_chain_exponent_edges;
+          Alcotest.test_case "fixed-base cache integrity" `Quick
+            test_fixed_base_cache_integrity ]
+        @ chain_props );
     ]

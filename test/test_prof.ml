@@ -249,23 +249,6 @@ let qcheck_speedscope_roundtrip =
 
 module W1 = World.Make (Scheme1)
 
-(* drop the "minor words" profile: OCaml 5's allocation accounting is
-   chunk-granular (Gc.counters deltas shift by minor-heap-sized quanta
-   with collection timing), so alloc attribution is byte-stable only
-   between fresh-process replays — which bin/ci.sh checks with cmp on
-   two [shs_demo profile] invocations.  Calls and limb words are pure
-   functions of the computation and must replay exactly even here. *)
-let strip_alloc = function
-  | Obs_json.Obj fields ->
-    Obs_json.Obj
-      (List.map
-         (function
-           | "profiles", Obs_json.List [ calls; words; _alloc ] ->
-             ("profiles", Obs_json.List [ calls; words ])
-           | kv -> kv)
-         fields)
-  | j -> j
-
 let test_profile_replay_identical () =
   reset_all ();
   (* warm every lazy cache (parameter sets, first-session paths) so the
@@ -291,23 +274,20 @@ let test_profile_replay_identical () =
     let t = Prof.snapshot () in
     ( Prof.to_collapsed ~weight:Prof.Words t,
       Prof.to_collapsed ~weight:Prof.Calls t,
-      Obs_json.to_string (strip_alloc (Prof.to_speedscope t)),
+      Obs_json.to_string (Prof.to_speedscope t),
       Prof.total_minor_words t )
   in
   let w1, c1, s1, a1 = profiled () in
   let w2, c2, s2, a2 = profiled () in
   Alcotest.(check string) "collapsed (words) bytes identical" w1 w2;
   Alcotest.(check string) "collapsed (calls) bytes identical" c1 c2;
-  Alcotest.(check string) "speedscope calls/words bytes identical" s1 s2;
+  Alcotest.(check string) "speedscope bytes identical" s1 s2;
   Alcotest.(check bool) "collapsed is non-trivial" true
     (String.length w1 > 0);
-  (* call counts and limb words are exact (checked byte-identical
-     above); allocation accounting settles in minor-heap quanta at
-     collection boundaries, and the totals have been observed to move a
-     few percent between otherwise-identical in-process runs, so only
-     gross nondeterminism is gated here *)
-  Alcotest.(check bool) "alloc totals agree within 5%" true
-    (abs_float (a1 -. a2) /. Float.max 1.0 a1 < 0.05);
+  (* calls, limb words and minor words are all exact (the speedscope
+     document carries all three profiles): Gc.minor_words counts every
+     allocated word, whenever the minor collections fall *)
+  Alcotest.(check (float 0.0)) "alloc totals identical" a1 a2;
   reset_all ()
 
 let test_handshake_attribution () =
