@@ -729,6 +729,25 @@ let e8 () =
         (Staged.stage
            (let block = String.make 1024 'x' in
             fun () -> ignore (Sha256.digest block)));
+      (* the hash layer's hot callers: a tag under a fresh key (pads
+         rebuilt) and under a prepared one, the DRBG draw every fault-plan
+         copy makes, and the draw itself; own seeds, nothing from [rng] *)
+      Test.make ~name:"hmac one-shot (32 B key, 64 B msg)"
+        (Staged.stage
+           (let key = String.make 32 'k' and msg = String.make 64 'm' in
+            fun () -> ignore (Hmac.mac ~key msg)));
+      Test.make ~name:"hmac prepared key (64 B msg)"
+        (Staged.stage
+           (let key = Hmac.prepare (String.make 32 'k') and msg = String.make 64 'm' in
+            fun () -> ignore (Hmac.mac_prepared key [ msg ])));
+      Test.make ~name:"drbg.generate 7 B"
+        (Staged.stage
+           (let d = Drbg.of_int_seed 81 in
+            fun () -> ignore (Drbg.generate d 7)));
+      Test.make ~name:"fault-plan draw"
+        (Staged.stage
+           (let f = Faults.create ~drop:0.02 ~seed:82 () in
+            fun () -> ignore (Faults.draw_drop f ~src:0 ~dst:1)));
       Test.make ~name:"chacha20 (1 KiB)"
         (Staged.stage
            (let key = String.make 32 'k' and nonce = String.make 12 'n' in

@@ -193,8 +193,8 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
 
   let format_of_member m = format_of_public ~dl_group:m.m_dl_group m.gpub
 
-  let mac_phase2 ~kprime ~sid i =
-    Hmac.mac_list ~key:kprime [ "shs-phase2"; sid; string_of_int i ]
+  let mac_phase2 ~tag_key ~sid i =
+    Hmac.mac_prepared tag_key [ "shs-phase2"; sid; string_of_int i ]
 
   let phase3_msg ~sid ~delta = Sha256.digest_list [ "shs-phase3"; sid; delta ]
 
@@ -238,6 +238,9 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
        the tag matrix alone (no group signatures, no traceability) *)
     dgka : D.instance;
     mutable kprime : string option;  (* k' = k* ⊕ k; outsiders improvise *)
+    mutable tag_key : Hmac.key option;
+    (* k' prepared once: it serves the party's own tag and its m - 1
+       checks *)
     mutable sid : string option;
     macs : string option array;
     mutable sent_p3 : bool;
@@ -257,6 +260,7 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
       two_phase;
       dgka = D.create ~rng ~group:fmt.dl_group ~self ~n;
       kprime = None;
+      tag_key = None;
       sid = None;
       macs = Array.make n None;
       sent_p3 = false;
@@ -314,18 +318,20 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
            says the resulting tag convinces nobody *)
         p.rng key_len
     in
+    let tag_key = Hmac.prepare kprime in
     p.kprime <- Some kprime;
+    p.tag_key <- Some tag_key;
     p.sid <- Some sid;
     Log.debug (fun f -> f "party %d: phase I complete, emitting tag" p.self);
-    let mac = mac_phase2 ~kprime ~sid p.self in
+    let mac = mac_phase2 ~tag_key ~sid p.self in
     p.macs.(p.self) <- Some mac;
     track_phase p;
     [ (None, Wire.encode ~tag:"hs2" [ mac ]) ]
 
   let mac_valid p j =
-    match (p.kprime, p.sid, p.macs.(j)) with
-    | Some kprime, Some sid, Some mac ->
-      Hmac.equal_ct mac (mac_phase2 ~kprime ~sid j)
+    match (p.tag_key, p.sid, p.macs.(j)) with
+    | Some tag_key, Some sid, Some mac ->
+      Hmac.equal_ct mac (mac_phase2 ~tag_key ~sid j)
     | _ -> false
 
   (* Phase III: real values when this party is a live member and the tag

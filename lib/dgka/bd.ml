@@ -70,16 +70,19 @@ let emit_x t =
     t.sent_x <- true;
     [ (None, Wire.encode ~tag:"bd2" [ enc t x_self ]) ]
 
-(* K = z_{i-1}^{n·r_i} · Π_{j=0}^{n-2} X_{i+j}^{n-1-j} *)
+(* K = z_{i-1}^{n·r_i} · Π_{j=0}^{n-2} X_{i+j}^{n-1-j}, as the product
+   of the running products a_0 = z_{i-1}^{r_i}, a_{j+1} = a_j · X_{i+j}:
+   one exponentiation and 2(n - 1) multiplications. *)
 let finish t =
   match (filled t.z, filled t.x) with
   | Some z, Some x ->
     let p = t.grp.Groupgen.p in
     let get arr i = arr.((i + t.n) mod t.n) in
-    let base = B.pow_mod (get z (t.self - 1)) (B.mul (B.of_int t.n) t.r) p in
-    let k = ref base in
+    let a = ref (B.pow_mod (get z (t.self - 1)) t.r p) in
+    let k = ref !a in
     for j = 0 to t.n - 2 do
-      k := B.mul_mod !k (B.pow_mod (get x (t.self + j)) (B.of_int (t.n - 1 - j)) p) p
+      a := B.mul_mod !a (get x (t.self + j)) p;
+      k := B.mul_mod !k !a p
     done;
     let transcript =
       let buf = Buffer.create 256 in

@@ -14,7 +14,8 @@ val of_int_seed : int -> t
 (** Convenience seeding for tests and examples. *)
 
 val generate : t -> int -> string
-(** [generate t n] returns [n] fresh pseudorandom bytes. *)
+(** [generate t n] returns [n] fresh pseudorandom bytes.
+    @raise Invalid_argument if [n < 0], before the state moves. *)
 
 val reseed : t -> string -> unit
 

@@ -8,7 +8,8 @@ val extract : ?salt:string -> ikm:string -> unit -> string
 (** 32-byte pseudorandom key. *)
 
 val expand : prk:string -> info:string -> len:int -> string
-(** [len] bytes of output keying material; [len <= 255 * 32]. *)
+(** [len] bytes of output keying material.
+    @raise Invalid_argument unless [0 <= len <= 255 * 32]. *)
 
 val derive : ?salt:string -> ikm:string -> info:string -> len:int -> unit -> string
 (** [extract] followed by [expand]. *)

@@ -1,5 +1,10 @@
-(* SHA-256, FIPS 180-4.  32-bit words live in native ints, masked after
-   every arithmetic step; rotations operate on the low 32 bits only. *)
+(* SHA-256, FIPS 180-4.  32-bit words live in native ints, masked to 32
+   bits whenever they are stored.
+
+   A context is immutable: [update] copies the 8-word state once per
+   call, allocates one 64-word schedule, and compresses every whole
+   block into that copy, reading the words straight out of [data].  Only
+   a partial first block is stitched together with [pending]. *)
 
 let digest_size = 32
 let m32 = 0xffffffff
@@ -18,7 +23,7 @@ let k =
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
 type ctx = {
-  h : int array; (* 8 words *)
+  h : int array; (* 8 words; never written once the context exists *)
   pending : string; (* < 64 bytes of unprocessed input *)
   total : int; (* total bytes absorbed so far *)
 }
@@ -31,80 +36,118 @@ let init () =
     total = 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
+(* The four mixing functions work on the doubled word [x lor (x lsl 32)],
+   where a right rotation by [n] is a right shift by [n] followed by the
+   32-bit mask.  The native int drops bit 63 of the doubled word, which
+   holds bit 31 of [x]; a shift by [n] reads bits [n .. n + 31], so every
+   rotation here (at most 25) stays clear of it. *)
+let[@inline] big_sigma0 x =
+  let d = x lor (x lsl 32) in
+  ((d lsr 2) lxor (d lsr 13) lxor (d lsr 22)) land m32
 
-(* Process one 64-byte block starting at [off] in [s] into a copy of [h]. *)
-let compress h s off =
-  let w = Array.make 64 0 in
+let[@inline] big_sigma1 x =
+  let d = x lor (x lsl 32) in
+  ((d lsr 6) lxor (d lsr 11) lxor (d lsr 25)) land m32
+
+let[@inline] small_sigma0 x =
+  let d = x lor (x lsl 32) in
+  (((d lsr 7) lxor (d lsr 18)) land m32) lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let d = x lor (x lsl 32) in
+  (((d lsr 17) lxor (d lsr 19)) land m32) lxor (x lsr 10)
+
+(* Compress the 64-byte block at [off] in [s] into [h] in place, using
+   [w] as the message schedule.  The rounds are unrolled by eight with
+   the working variables renamed instead of shifted, so each round
+   writes only its [d] and [h]; after eight rounds the names line up
+   again. *)
+let compress h w s off =
   for i = 0 to 15 do
-    let j = off + (i * 4) in
-    w.(i) <-
-      (Char.code s.[j] lsl 24)
-      lor (Char.code s.[j + 1] lsl 16)
-      lor (Char.code s.[j + 2] lsl 8)
-      lor Char.code s.[j + 3]
+    w.(i) <- Int32.to_int (String.get_int32_be s (off + (i * 4))) land m32
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land m32
+    w.(i) <-
+      (w.(i - 16) + small_sigma0 w.(i - 15) + w.(i - 7) + small_sigma1 w.(i - 2))
+      land m32
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let temp1 = (!hh + s1 + ch + k.(i) + w.(i)) land m32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land m32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + temp1) land m32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (temp1 + temp2) land m32
+  for j = 0 to 7 do
+    let i = j * 8 in
+    let t1 = !hh + big_sigma1 !e + (!g lxor (!e land (!f lxor !g))) + k.(i) + w.(i) in
+    d := (!d + t1) land m32;
+    hh := (t1 + big_sigma0 !a + ((!a land !b) lor (!c land (!a lor !b)))) land m32;
+    let t1 = !g + big_sigma1 !d + (!f lxor (!d land (!e lxor !f))) + k.(i + 1) + w.(i + 1) in
+    c := (!c + t1) land m32;
+    g := (t1 + big_sigma0 !hh + ((!hh land !a) lor (!b land (!hh lor !a)))) land m32;
+    let t1 = !f + big_sigma1 !c + (!e lxor (!c land (!d lxor !e))) + k.(i + 2) + w.(i + 2) in
+    b := (!b + t1) land m32;
+    f := (t1 + big_sigma0 !g + ((!g land !hh) lor (!a land (!g lor !hh)))) land m32;
+    let t1 = !e + big_sigma1 !b + (!d lxor (!b land (!c lxor !d))) + k.(i + 3) + w.(i + 3) in
+    a := (!a + t1) land m32;
+    e := (t1 + big_sigma0 !f + ((!f land !g) lor (!hh land (!f lor !g)))) land m32;
+    let t1 = !d + big_sigma1 !a + (!c lxor (!a land (!b lxor !c))) + k.(i + 4) + w.(i + 4) in
+    hh := (!hh + t1) land m32;
+    d := (t1 + big_sigma0 !e + ((!e land !f) lor (!g land (!e lor !f)))) land m32;
+    let t1 = !c + big_sigma1 !hh + (!b lxor (!hh land (!a lxor !b))) + k.(i + 5) + w.(i + 5) in
+    g := (!g + t1) land m32;
+    c := (t1 + big_sigma0 !d + ((!d land !e) lor (!f land (!d lor !e)))) land m32;
+    let t1 = !b + big_sigma1 !g + (!a lxor (!g land (!hh lxor !a))) + k.(i + 6) + w.(i + 6) in
+    f := (!f + t1) land m32;
+    b := (t1 + big_sigma0 !c + ((!c land !d) lor (!e land (!c lor !d)))) land m32;
+    let t1 = !a + big_sigma1 !f + (!hh lxor (!f land (!g lxor !hh))) + k.(i + 7) + w.(i + 7) in
+    e := (!e + t1) land m32;
+    a := (t1 + big_sigma0 !b + ((!b land !c) lor (!d land (!b lor !c)))) land m32
   done;
-  [| (h.(0) + !a) land m32; (h.(1) + !b) land m32; (h.(2) + !c) land m32;
-     (h.(3) + !d) land m32; (h.(4) + !e) land m32; (h.(5) + !f) land m32;
-     (h.(6) + !g) land m32; (h.(7) + !hh) land m32 |]
+  h.(0) <- (h.(0) + !a) land m32;
+  h.(1) <- (h.(1) + !b) land m32;
+  h.(2) <- (h.(2) + !c) land m32;
+  h.(3) <- (h.(3) + !d) land m32;
+  h.(4) <- (h.(4) + !e) land m32;
+  h.(5) <- (h.(5) + !f) land m32;
+  h.(6) <- (h.(6) + !g) land m32;
+  h.(7) <- (h.(7) + !hh) land m32
 
 let update ctx data =
-  let buf = ctx.pending ^ data in
-  let len = String.length buf in
-  let nblocks = len / 64 in
-  let h = ref ctx.h in
-  for i = 0 to nblocks - 1 do
-    h := compress !h buf (i * 64)
-  done;
-  { h = !h;
-    pending = String.sub buf (nblocks * 64) (len - (nblocks * 64));
-    total = ctx.total + String.length data;
-  }
+  let plen = String.length ctx.pending and dlen = String.length data in
+  let total = ctx.total + dlen in
+  if dlen = 0 then ctx
+  else if plen + dlen < 64 then { ctx with pending = ctx.pending ^ data; total }
+  else begin
+    let h = Array.copy ctx.h and w = Array.make 64 0 in
+    let off =
+      if plen = 0 then 0
+      else begin
+        let fill = 64 - plen in
+        compress h w (ctx.pending ^ String.sub data 0 fill) 0;
+        fill
+      end
+    in
+    let nblocks = (dlen - off) / 64 in
+    for i = 0 to nblocks - 1 do
+      compress h w data (off + (i * 64))
+    done;
+    let rest = off + (nblocks * 64) in
+    { h; pending = String.sub data rest (dlen - rest); total }
+  end
 
 let finalize ctx =
-  let bitlen = ctx.total * 8 in
-  let plen =
-    let r = (ctx.total + 1 + 8) mod 64 in
-    if r = 0 then 1 + 8 else 1 + 8 + (64 - r)
-  in
-  let pad = Bytes.make (plen - 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  let lenbytes = Bytes.create 8 in
+  let plen = String.length ctx.pending in
+  (* pending, the 0x80 marker, zeros, and the 64-bit bit length: one
+     block when the marker and length fit after [pending], else two *)
+  let len = if plen < 56 then 64 else 128 in
+  let tail = Bytes.make len '\000' in
+  Bytes.blit_string ctx.pending 0 tail 0 plen;
+  Bytes.set tail plen '\x80';
+  Bytes.set_int64_be tail (len - 8) (Int64.of_int (ctx.total * 8));
+  let tail = Bytes.to_string tail in
+  let h = Array.copy ctx.h and w = Array.make 64 0 in
+  compress h w tail 0;
+  if len = 128 then compress h w tail 64;
+  let out = Bytes.create digest_size in
   for i = 0 to 7 do
-    Bytes.set lenbytes i (Char.chr ((bitlen lsr ((7 - i) * 8)) land 0xff))
-  done;
-  let ctx = update ctx (Bytes.to_string pad ^ Bytes.to_string lenbytes) in
-  assert (String.length ctx.pending = 0);
-  let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (i * 4) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((i * 4) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((i * 4) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((i * 4) + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be out (i * 4) (Int32.of_int h.(i))
   done;
   Bytes.to_string out
 

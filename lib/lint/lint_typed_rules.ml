@@ -27,6 +27,10 @@ let repo_config : Lint_taint.config =
         "Secretbox.derive_keys";
         (* DRBG output drawn directly as key material *)
         "Drbg.generate";
+        (* prepared HMAC keys: their pad states are key-equivalent, and a
+           polymorphic compare over the int arrays inside would leak
+           timing *)
+        "Hmac.prepare";
         (* discrete-log secrets *)
         "Groupgen.schnorr_exponent";
         (* CGKD key material (also reached as [C.group_key] through the

@@ -15,9 +15,12 @@ type t = {
   drbg : Drbg.t;
 }
 
-let check_prob what p =
-  if not (p >= 0.0 && p <= 1.0) then
-    invalid_arg (Printf.sprintf "Faults.create: %s probability %g not in [0,1]" what p)
+let valid_prob p = p >= 0.0 && p <= 1.0
+
+let bad_prob what p =
+  invalid_arg (Printf.sprintf "Faults.create: %s probability %g not in [0,1]" what p)
+
+let check_prob what p = if not (valid_prob p) then bad_prob what p
 
 let create ?(drop = 0.0) ?drop_link ?(duplicate = 0.0) ?(jitter = 0.0)
     ?(crashes = []) ~seed () =
@@ -59,7 +62,8 @@ let uniform t =
 
 let draw_drop t ~src ~dst =
   let p = t.drop ~src ~dst in
-  check_prob (Printf.sprintf "link %d->%d drop" src dst) p;
+  (* the label is formatted only for an invalid probability, not per draw *)
+  if not (valid_prob p) then bad_prob (Printf.sprintf "link %d->%d drop" src dst) p;
   p > 0.0 && uniform t < p
 
 let draw_duplicate t = t.duplicate > 0.0 && uniform t < t.duplicate

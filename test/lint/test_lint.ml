@@ -470,6 +470,55 @@ let test_typed_blinding_boundary () =
   Alcotest.(check int) "both fire outside Bigint" 2
     (List.length (run_blinding "Bignum"))
 
+(* The repo policy on a prepared HMAC key, over fixtures shaped like
+   [Sha256] and [Hmac]: the key is a record of two hash states holding
+   int arrays, and a tag is written out of such a state word by word. *)
+let prepared_key_units =
+  [ ( "lib/hashing/sha256.ml",
+      "Sha256",
+      "type ctx = { h : int array; pending : string; total : int }\n\
+       let init () = { h = Array.make 8 0; pending = \"\"; total = 0 }\n\
+       let update c s =\n\
+      \  let h = Array.copy c.h in\n\
+      \  String.iteri (fun i ch -> h.(i land 7) <- h.(i land 7) lxor Char.code ch) s;\n\
+      \  { h; pending = \"\"; total = c.total + String.length s }\n\
+       let finalize c =\n\
+      \  let out = Bytes.create 32 in\n\
+      \  for i = 0 to 7 do Bytes.set_int32_be out (i * 4) (Int32.of_int c.h.(i)) done;\n\
+      \  Bytes.to_string out\n" );
+    ( "lib/hashing/hmac.ml",
+      "Hmac",
+      "type key = { inner : Sha256.ctx; outer : Sha256.ctx }\n\
+       let prepare k =\n\
+      \  { inner = Sha256.update (Sha256.init ()) k;\n\
+      \    outer = Sha256.update (Sha256.init ()) k }\n\
+       let mac_prepared key parts =\n\
+      \  let inner = Sha256.finalize (List.fold_left Sha256.update key.inner parts) in\n\
+      \  Sha256.finalize (Sha256.update key.outer inner)\n" );
+    ("lib/wire/wire.ml", "Wire", "let encode ~tag parts = String.concat tag parts\n");
+    ( "lib/core/p.ml",
+      "P",
+      "let same_key a b = Hmac.prepare a = Hmac.prepare b\n\
+       let send_tag k sid =\n\
+      \  Wire.encode ~tag:\"hs2\" [ Hmac.mac_prepared (Hmac.prepare k) [ sid ] ]\n" );
+  ]
+
+let test_typed_prepared_key () =
+  (* under the repo configuration [Hmac.prepare] is a source: comparing
+     two prepared keys fires, while a tag under one reaches the wire
+     clean *)
+  match
+    Lint_typed_rules.run ~config:Lint_typed_rules.repo_config
+      (typecheck prepared_key_units)
+  with
+  | [ (f, false) ] ->
+    Alcotest.(check string) "rule" "NO-POLY-COMPARE" f.Lint_types.rule;
+    Alcotest.(check string) "binding" "same_key" f.Lint_types.binding;
+    Alcotest.(check bool) "witness names the source" true
+      (contains_sub (String.concat " | " f.Lint_types.path) "Hmac.prepare")
+  | fs ->
+    Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
+
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -554,5 +603,7 @@ let () =
             test_typed_json_determinism;
           Alcotest.test_case "Bigint is the blinding boundary" `Quick
             test_typed_blinding_boundary;
+          Alcotest.test_case "a prepared HMAC key is key material" `Quick
+            test_typed_prepared_key;
         ] );
     ]

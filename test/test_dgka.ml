@@ -152,9 +152,59 @@ let test_message_shape () =
   let sbytes = str.Dgka_runner.stats.Engine.bytes_sent in
   Alcotest.(check bool) "sponsor sends the bulk" true (sbytes.(0) > 3 * sbytes.(1))
 
+(* BD's key by running products against the closed formula, kept here:
+   K_i = z_{i-1}^{n·r_i} · Π_{j=0}^{n-2} X_{i+j}^{n-1-j}, one small-exponent
+   power per factor.  The exponents are redrawn from copies of the
+   parties' generators (an instance draws r_i first), and each party's
+   session key must be the HKDF of the closed-formula K under its sid. *)
+let bd_closed_formula_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"bd: running products = closed formula" ~count:14
+       ~long_factor:10
+       ~print:(fun (seed, n) -> Printf.sprintf "seed %d, n = %d" seed n)
+       QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 2 8))
+       (fun (seed, n) ->
+         let grp = Lazy.force group in
+         let p = grp.Groupgen.p in
+         let r = Array.map (fun rng -> Groupgen.schnorr_exponent ~rng grp) (rngs seed n) in
+         let z = Array.map (fun ri -> Bigint.pow_mod grp.Groupgen.g ri p) r in
+         let get arr i = arr.((i + n) mod n) in
+         let x =
+           Array.init n (fun i ->
+               Bigint.pow_mod
+                 (Bigint.mul_mod (get z (i + 1)) (Bigint.invert (get z (i - 1)) p) p)
+                 r.(i) p)
+         in
+         let closed i =
+           let small e = Bigint.of_int e in
+           let k =
+             ref (Bigint.pow_mod (get z (i - 1)) (Bigint.mul (small n) r.(i)) p)
+           in
+           for j = 0 to n - 2 do
+             k :=
+               Bigint.mul_mod !k
+                 (Bigint.pow_mod (get x (i + j)) (small (n - 1 - j)) p)
+                 p
+           done;
+           !k
+         in
+         let res = Dgka_runner.run (module Bd) ~rngs:(rngs seed n) ~group:grp () in
+         let len = (Bigint.num_bits p + 7) / 8 in
+         Array.for_all Fun.id
+           (Array.mapi
+              (fun i o ->
+                match o with
+                | None -> false
+                | Some (key, sid) ->
+                  String.equal key
+                    (Hkdf.derive ~salt:sid
+                       ~ikm:(Bigint.to_bytes_be ~len (closed i))
+                       ~info:"bd-session-key" ~len:32 ()))
+              res.Dgka_runner.outcomes)))
+
 let () =
   Alcotest.run "dgka"
-    [ ("bd", Bd_tests.suite "bd");
+    [ ("bd", Bd_tests.suite "bd" @ [ bd_closed_formula_prop ]);
       ("gdh", Gdh_tests.suite "gdh");
       ("str", Str_tests.suite "str");
       ("shape", [ Alcotest.test_case "message shape" `Quick test_message_shape ]);
