@@ -1140,6 +1140,12 @@ let e13 () =
     ~unit_:"fraction" frac;
   Report.add ~experiment:"e13" ~series:"prof.alloc.minor_words" ~unit_:"words"
     (Prof.total_minor_words t);
+  (* the limb words the session left in fixed-base tables: the
+     deterministic count behind most of a handshake's live heap *)
+  let fb_words = Bigint.fixed_base_table_words () in
+  Printf.printf "fixed-base tables after the session: %d limb words\n" fb_words;
+  Report.add ~experiment:"e13" ~series:"bigint.fb_table_words" ~unit_:"words"
+    (float_of_int fb_words);
   (* peak live size is sensitive to what else ran in the process (hence
      the untracked unit), but worth recording alongside the run *)
   Report.add ~experiment:"e13" ~series:"prof.heap.top_words" ~unit_:"heap-words"

@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI entry point: full build, test suite, a long sweep of the bigint,
-# hash and DGKA property tests (QCHECK_LONG=1 multiplies each property's
-# count by its long_factor), the shs_lint static-analysis
-# gates — untyped and typed whole-program passes, each with an
-# injected-violation check proving the gate can fail, and a
+# hash, DGKA and protocol-level (SPK) property tests (QCHECK_LONG=1
+# multiplies each property's count by its long_factor), the shs_lint
+# static-analysis gates — untyped and typed whole-program passes, each
+# with an injected-violation check proving the gate can fail, and a
 # JSON-determinism check per pass — a bounds-check scan (no unsafe
 # array access, no unsafe bytes/string aliasing, no -unsafe flag, with
 # planted-violation checks), the
@@ -26,6 +26,7 @@ echo "== property sweep: long_factor counts (QCHECK_LONG) =="
 QCHECK_LONG=1 dune exec test/test_bigint.exe
 QCHECK_LONG=1 dune exec test/test_hash.exe
 QCHECK_LONG=1 dune exec test/test_dgka.exe
+QCHECK_LONG=1 dune exec test/test_props.exe
 
 out=$(mktemp /tmp/shs_bench_XXXXXX.json)
 perturbed=$(mktemp /tmp/shs_perturb_XXXXXX.json)
@@ -158,6 +159,7 @@ grep -q '"schema": "shs-bench/1"' "$out"
 grep -q 'prof.bigint.mul:' "$out"
 grep -q 'prof.limb_words:' "$out"
 grep -q 'prof.alloc.minor_words' "$out"
+grep -q '"bigint.fb_table_words"' "$out"
 grep -q 'attributed fraction' "$out"
 grep -q '"provenance"' "$out"
 grep -q '"scheme1 msgs/party"' "$out"

@@ -18,7 +18,11 @@
    domain is exactly k limbs, each product overwrites its destination
    (which may be an operand) and allocates nothing, and one chain
    squares and multiplies a single accumulator for [pow_mod] and
-   [pow_mod_multi] alike.
+   [pow_mod_multi] alike.  Every term feeds that chain with windows of
+   odd value: a dynamic base by sliding windows over a per-call table
+   of its odd powers, a recurring base through cached tables of 32
+   odd powers per 32-bit exponent chunk (the multi-exponentiation
+   block below).
 
    The Euclid kernel behind [gcd], [invert] and [jacobi] (Lehmer's
    method, module [Euclid]) spends it a third way: a batch of quotients
@@ -769,7 +773,7 @@ let pow_mod_naive b e m =
 (* native int (file header).                                           *)
 (* [sqr_into] takes each column's cross products a_j·a_l (j < l) once  *)
 (* and doubles them; it serves every squaring: the shared chain of     *)
-(* [mont_multi] and the table steps of [fb_extend].                    *)
+(* [mont_multi] and the table steps of [odd_powers] and [fb_extend].   *)
 (*                                                                     *)
 (* Both kernels write their k-limb result in place and allocate        *)
 (* nothing.  Inside the domain a residue is exactly k limbs, a zero    *)
@@ -929,8 +933,12 @@ module Montgomery = struct
     make 1 acc
 end
 
-(* Fixed 4-bit window exponentiation. *)
+(* The division ladder's fixed 4-bit window. *)
 let window_bits = 4
+
+(* Exponents up to this length take a plain square-and-multiply ladder
+   with a division per product: no Montgomery conversion, no table. *)
+let tiny_exponent_bits = 8
 
 (* Threshold below which the Montgomery setup (one division + table) is
    not worth it. *)
@@ -1007,13 +1015,24 @@ let pow_mod_div b e m =
   windowed_div_pow (erem b m) e m (num_bits e)
 
 (* ------------------------------------------------------------------ *)
-(* Simultaneous multi-exponentiation (Straus/Shamir) with fixed-base   *)
-(* windowed tables.  A product Π bᵢ^eᵢ mod m is evaluated inside the   *)
-(* Montgomery domain with ONE shared squaring chain and ONE domain     *)
-(* exit; bases seen often enough (the scheme generators g, h, a, y …)  *)
-(* additionally get a cached table F[j][d] = base^(d·2^(4j)) so their  *)
-(* contribution costs only window multiplies — no squarings at all.    *)
-(* [pow_mod] is the one-term case without the cached tables.           *)
+(* Simultaneous multi-exponentiation: one squaring chain for every     *)
+(* base.  A product Π bᵢ^eᵢ mod m is evaluated inside the Montgomery   *)
+(* domain by ONE accumulator that is squared once per exponent bit,    *)
+(* from the top bit down, and ONE domain exit.  Every term cuts its    *)
+(* exponent into windows of odd value v; a window whose lowest bit is  *)
+(* i multiplies the accumulator by a table entry at chain step i.      *)
+(*   - A dynamic base gets a per-call table of its odd powers b, b³,   *)
+(*     ..., b^(2^w - 1), and right-to-left sliding windows of width w  *)
+(*     ([slide_width]) over its whole exponent.                        *)
+(*   - A base seen often enough (the scheme generators g, h, a, y ...) *)
+(*     gets a cached table per 32-bit chunk c of its exponent: the 32  *)
+(*     odd powers of base^(2^(32c)).  Windows of width 6 never cross a *)
+(*     chunk boundary, so chunk c's windows land in the chain's last   *)
+(*     32 steps: a fixed term costs about one product per 7 bits and   *)
+(*     shares at most 31 squarings with the rest of the product.       *)
+(* The accumulator starts empty: the first window is a copy, and no    *)
+(* product with 1 or squaring of 1 is paid.  [pow_mod] is the          *)
+(* one-term case without the cached tables.                            *)
 (* ------------------------------------------------------------------ *)
 
 type multi_mode = Folded | Multi | Multi_fixed
@@ -1025,16 +1044,25 @@ let multi_mode_ref = ref Multi_fixed
 let set_multi_mode m = multi_mode_ref := m
 let multi_mode () = !multi_mode_ref
 
+(* A fixed base's chunk stride and window width.  Over strides 16-128
+   and widths 4-6, stride 32 with width 6 takes the fewest products for
+   one warm ACJT sign plus three verifies; stride 64 holds half the
+   table memory for 0.6% more products, stride 16 twice the memory for
+   2% more. *)
+let fb_stride = 32
+let fb_width = 6
+
 type fb_entry = {
   fb_base : t;  (* reduced into [0, modulus) *)
   fb_modulus : t;
   mutable fb_uses : int;
   mutable fb_inv : t option;  (* cached modular inverse (negative exponents) *)
-  (* fb_windows.(j).(d-1) = base^(d·2^(window_bits·j)) in the Montgomery
-     domain, grown window-by-window as larger exponents arrive; the
-     entries are never written once built *)
-  mutable fb_windows : int array array array;
-  mutable fb_next_pow : int array;  (* base^(2^(window_bits·|fb_windows|)), mont *)
+  (* fb_chunks.(c).(i) = base^((2i+1)·2^(fb_stride·c)) in the Montgomery
+     domain: 2^(fb_width-1) = 32 entries of k limbs per 32 exponent bits
+     (the 4-bit window tables this replaces held 15 per 4 bits).  Grown
+     chunk by chunk as longer exponents arrive; the entries are never
+     written once built *)
+  mutable fb_chunks : int array array array;
 }
 
 let fb_cache : (int, fb_entry) Hashtbl.t = Hashtbl.create 16
@@ -1064,8 +1092,7 @@ let fb_entry b m =
       else List.iter (Hashtbl.remove fb_cache) cold
     end;
     let e =
-      { fb_base = b; fb_modulus = m; fb_uses = 0; fb_inv = None;
-        fb_windows = [||]; fb_next_pow = [||] }
+      { fb_base = b; fb_modulus = m; fb_uses = 0; fb_inv = None; fb_chunks = [||] }
     in
     Hashtbl.replace fb_cache key e;
     Obs.set_gauge fb_cache_gauge (Hashtbl.length fb_cache);
@@ -1073,114 +1100,165 @@ let fb_entry b m =
 
 let fixed_base_cache_size () = Hashtbl.length fb_cache
 
-let fb_extend ctx e nwindows =
-  let cur = Array.length e.fb_windows in
-  if cur < nwindows then begin
-    if cur = 0 then e.fb_next_pow <- Montgomery.to_mont ctx e.fb_base;
-    let grown = Array.make nwindows [||] in
-    Array.blit e.fb_windows 0 grown 0 cur;
-    for j = cur to nwindows - 1 do
-      let p = e.fb_next_pow in
-      let w = Array.make ((1 lsl window_bits) - 1) p in
-      for d = 1 to Array.length w - 1 do
-        let x = Array.make ctx.Montgomery.k 0 in
-        Montgomery.mul_into ctx x w.(d - 1) p;
-        w.(d) <- x
-      done;
-      grown.(j) <- w;
-      (* p is the table entry w.(0): square a copy *)
-      let q = Array.copy p in
-      for _ = 1 to window_bits do Montgomery.sqr_into ctx q q done;
-      e.fb_next_pow <- q
+let fixed_base_table_words () =
+  Hashtbl.fold
+    (fun _ e acc ->
+      Array.fold_left
+        (Array.fold_left (fun acc x -> acc + Array.length x))
+        acc e.fb_chunks)
+    fb_cache 0
+
+(* [p], p³, ..., p^(2n-1): one squaring and n - 1 products; entry 0 is
+   [p] itself *)
+let odd_powers ctx p n =
+  let t = Array.make n p in
+  if n > 1 then begin
+    let p2 = Array.make ctx.Montgomery.k 0 in
+    Montgomery.sqr_into ctx p2 p;
+    for i = 1 to n - 1 do
+      let x = Array.make ctx.Montgomery.k 0 in
+      Montgomery.mul_into ctx x t.(i - 1) p2;
+      t.(i) <- x
+    done
+  end;
+  t
+
+(* chunk c's base, base^(2^(32c)), is chunk c-1's entry 0 squared 32
+   times in a copy *)
+let fb_extend ctx e nchunks =
+  let cur = Array.length e.fb_chunks in
+  if cur < nchunks then begin
+    let grown = Array.make nchunks [||] in
+    Array.blit e.fb_chunks 0 grown 0 cur;
+    for c = cur to nchunks - 1 do
+      let p =
+        if c = 0 then Montgomery.to_mont ctx e.fb_base
+        else begin
+          let q = Array.copy grown.(c - 1).(0) in
+          for _ = 1 to fb_stride do Montgomery.sqr_into ctx q q done;
+          q
+        end
+      in
+      grown.(c) <- odd_powers ctx p (1 lsl (fb_width - 1))
     done;
-    e.fb_windows <- grown
+    e.fb_chunks <- grown
   end
 
-(* table lookup for one pair: [Some windows] once the base has recurred
+(* table lookup for one pair: [Some chunks] once the base has recurred
    enough to amortize the build, [None] while it stays dynamic *)
 let fb_tables_for ctx b m ebits =
   let e = fb_entry b m in
   e.fb_uses <- e.fb_uses + 1;
   if e.fb_uses < fb_use_threshold then None
   else begin
-    fb_extend ctx e ((ebits + window_bits - 1) / window_bits);
-    Some e.fb_windows
+    fb_extend ctx e ((ebits + fb_stride - 1) / fb_stride);
+    Some e.fb_chunks
   end
 
-let window_digit e w =
-  let digit = ref 0 in
-  for j = window_bits - 1 downto 0 do
-    let bit = (w * window_bits) + j in
-    digit := (!digit lsl 1) lor (if testbit e bit then 1 else 0)
-  done;
-  !digit
+(* A dynamic base's window width: the w that minimises the table's
+   2^(w-1) products plus about bits/(w+1) window products.  The
+   crossover from w to w+1 sits at 2^(w-1)(w+1)(w+2) bits. *)
+let slide_width bits =
+  if bits < 24 then 2
+  else if bits < 80 then 3
+  else if bits < 240 then 4
+  else if bits < 672 then 5
+  else if bits < 1792 then 6
+  else 7
+
+(* [w] <= 7 bits of [mag] from bit [i] up, zero past the top limb *)
+let bits_at mag i w =
+  let li = i / limb_bits and off = i mod limb_bits in
+  let n = Array.length mag in
+  let v = if li < n then mag.(li) lsr off else 0 in
+  let v =
+    if off + w > limb_bits && li + 1 < n then
+      v lor (mag.(li + 1) lsl (limb_bits - off))
+    else v
+  in
+  v land ((1 lsl w) - 1)
+
+(* Right-to-left sliding windows over bits [lo, hi) of [mag], none
+   crossing [hi]: a window starts at each set bit i not yet covered,
+   spans min(width, hi - i) bits, and has odd value v;
+   [emit (i - lo) table.(v / 2)] for each, lowest window first. *)
+let slide mag ~lo ~hi ~width table emit =
+  let i = ref lo in
+  while !i < hi do
+    if bits_at mag !i 1 = 0 then incr i
+    else begin
+      let w = Stdlib.min width (hi - !i) in
+      emit (!i - lo) table.(bits_at mag !i w lsr 1);
+      i := !i + w
+    end
+  done
 
 (* Straus/Shamir core: bases reduced, exponents positive, modulus
-   [mont_ok].  One chain squares and multiplies a single accumulator in
-   place; it starts as a fresh mont(1), never as a table entry, so no
-   cached table is ever written. *)
+   [mont_ok].  Dynamic terms keep their windows as a list each, (chain
+   step, table entry) topmost first; fixed terms drop theirs into one
+   bucket per chain step below 32.  Nothing
+   allocated per call is longer than the 32 buckets, the odd-power
+   tables and the k-limb residues, so below 257-limb moduli a call stays
+   in the minor heap.
+   The accumulator is a fresh array that the first window is copied
+   into, so no cached table entry is ever written. *)
 let mont_multi ~fixed_tables m pairs =
   let ctx = mont_ctx m in
-  let acc = Array.make ctx.Montgomery.k 0 in
-  Montgomery.mul_into ctx acc ctx.Montgomery.one ctx.Montgomery.r2;
-  let fixed, dyn =
-    if fixed_tables then
-      List.partition_map
-        (fun (b, e) ->
-          match fb_tables_for ctx b m (num_bits e) with
-          | Some windows -> Either.Left (windows, e)
-          | None -> Either.Right (b, e))
-        pairs
-    else ([], pairs)
+  let k = ctx.Montgomery.k in
+  let fixed_at = Array.make fb_stride [] in
+  let dyn =
+    List.filter_map
+      (fun (b, e) ->
+        let nbits = num_bits e in
+        match if fixed_tables then fb_tables_for ctx b m nbits else None with
+        | Some chunks ->
+          for c = 0 to ((nbits + fb_stride - 1) / fb_stride) - 1 do
+            slide e.mag ~lo:(c * fb_stride) ~hi:((c + 1) * fb_stride)
+              ~width:fb_width chunks.(c) (fun i x ->
+                fixed_at.(i) <- x :: fixed_at.(i))
+          done;
+          None
+        | None ->
+          let w = slide_width nbits in
+          let table = odd_powers ctx (Montgomery.to_mont ctx b) (1 lsl (w - 1)) in
+          let ws = ref [] in
+          slide e.mag ~lo:0 ~hi:nbits ~width:w table (fun i x ->
+              ws := (i, x) :: !ws);
+          Some !ws)
+      pairs
+    |> Array.of_list
   in
-  (match dyn with
-   | [] -> ()
-   | dyn ->
-     let tabs =
-       List.map
-         (fun (b, e) ->
-           let t = Array.make (1 lsl window_bits) [||] in
-           t.(1) <- Montgomery.to_mont ctx b;
-           for d = 2 to Array.length t - 1 do
-             let x = Array.make ctx.Montgomery.k 0 in
-             Montgomery.mul_into ctx x t.(d - 1) t.(1);
-             t.(d) <- x
-           done;
-           (t, e))
-         dyn
-     in
-     let nbits =
-       List.fold_left (fun a (_, e) -> Stdlib.max a (num_bits e)) 0 dyn
-     in
-     let nwindows = (nbits + window_bits - 1) / window_bits in
-     for w = nwindows - 1 downto 0 do
-       for _ = 1 to window_bits do
-         Montgomery.sqr_into ctx acc acc
-       done;
-       List.iter
-         (fun (t, e) ->
-           let d = window_digit e w in
-           if d <> 0 then Montgomery.mul_into ctx acc acc t.(d))
-         tabs
-     done);
-  (* fixed-base contributions are squaring-free and position-independent,
-     so they fold into the accumulator after the shared chain *)
-  List.iter
-    (fun (windows, e) ->
-      let nwindows = (num_bits e + window_bits - 1) / window_bits in
-      for w = 0 to nwindows - 1 do
-        let d = window_digit e w in
-        if d <> 0 then Montgomery.mul_into ctx acc acc windows.(w).(d - 1)
-      done)
-    fixed;
+  let top = ref (-1) in
+  Array.iter (function (i, _) :: _ -> top := Stdlib.max !top i | [] -> ()) dyn;
+  Array.iteri
+    (fun i l -> match l with [] -> () | _ :: _ -> top := Stdlib.max !top i)
+    fixed_at;
+  let acc = Array.make k 0 and started = ref false in
+  let mul_in x =
+    if !started then Montgomery.mul_into ctx acc acc x
+    else begin
+      Array.blit x 0 acc 0 k;
+      started := true
+    end
+  in
+  for i = !top downto 0 do
+    if !started then Montgomery.sqr_into ctx acc acc;
+    for j = 0 to Array.length dyn - 1 do
+      match dyn.(j) with
+      | (at, x) :: rest when at = i ->
+        mul_in x;
+        dyn.(j) <- rest
+      | _ -> ()
+    done;
+    if i < fb_stride then List.iter mul_in fixed_at.(i)
+  done;
   Montgomery.from_mont ctx acc
 
 (* dispatch for a reduced base and non-negative exponent; shared by
    [pow_mod] and the folded arm of [pow_mod_multi] *)
 let pow_mod_body b e m =
   let nbits = num_bits e in
-  if nbits <= window_bits * 2 then begin
-    (* tiny exponent: plain ladder, skip table setup *)
+  if nbits <= tiny_exponent_bits then begin
     let acc = ref (one_mod m) in
     for i = nbits - 1 downto 0 do
       acc := mul_mod !acc !acc m;

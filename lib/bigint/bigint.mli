@@ -3,10 +3,11 @@
     The sealed build environment provides no bignum library, so this module
     supplies the arithmetic substrate for every cryptographic component of
     the secret-handshake framework: schoolbook multiplication, Knuth
-    algorithm-D division, modular exponentiation with a fixed 4-bit
-    window on in-place, allocation-free Montgomery kernels (one chain
-    serves {!pow_mod} and {!pow_mod_multi}; recurring bases get cached
-    fixed-base tables), big-endian byte serialization, and one Euclid kernel
+    algorithm-D division, modular exponentiation on in-place,
+    allocation-free Montgomery kernels (one squaring chain serves
+    {!pow_mod} and {!pow_mod_multi}, fed by sliding windows over odd
+    powers; recurring bases get cached per-32-bit-chunk tables),
+    big-endian byte serialization, and one Euclid kernel
     accelerated by Lehmer's method (Knuth algorithm L) that serves
     {!gcd}, {!invert} and {!jacobi}.  The kernel simulates quotients in
     native ints on the top 60 bits of the pair, ends a batch before any
@@ -136,10 +137,13 @@ val pow_mod_multi : (t * t) list -> t -> t
 (** [pow_mod_multi [(b1, e1); ...] m] is [Π bᵢ^eᵢ mod m] for [m > 0],
     evaluated as one Straus/Shamir simultaneous exponentiation in the
     Montgomery domain (odd [m] of 64 to 13 286 bits): all terms share a
-    single squaring chain and a single domain exit.  Bases that recur
-    across calls — the scheme generators every session reuses — earn a
-    cached fixed-base window table, after which their contribution costs
-    only window multiplies.  Negative exponents invert the base first
+    single squaring chain and a single domain exit, each term feeding
+    it with sliding windows over a per-call table of its base's odd
+    powers.  Bases that recur across calls — the scheme generators
+    every session reuses — earn cached tables of 32 odd powers per
+    32-bit exponent chunk, after which their windows all fall in the
+    chain's last 32 squarings and cost about one product per 7 exponent
+    bits.  Negative exponents invert the base first
     (the inverse is cached with the table); pairs with [eᵢ = 0] or
     [bᵢ ≡ 1] are dropped, the latter before any inversion; the empty
     product is [1 mod m].
@@ -231,6 +235,11 @@ val mont_cache_size : unit -> int
 
 val fixed_base_cache_size : unit -> int
 (** Number of fixed-base table entries (test/bench instrumentation). *)
+
+val fixed_base_table_words : unit -> int
+(** Limb words held by the cached fixed-base tables: 32 residues of
+    k limbs per 32-bit exponent chunk of every base that earned a table
+    (test/bench instrumentation). *)
 
 (** {1 Infix operators} *)
 

@@ -244,7 +244,10 @@ let sign ~rng mem ~msg =
       ("rw", rw); ("rhow", B.mul mem.e_mem rw) ]
   in
   let tr = base_transcript pub ~acc_value:mem.acc_value ~msg in
-  let proof = Spk.prove ~rng st ~secrets ~transcript:tr in
+  (* T2 = g^r and D = g2^rw: eq2's commitment T2^b_e g^-b_rho is
+     evaluated as g^(r·b_e - b_rho), eq6's likewise over g2 *)
+  let reps = [ (t2, (pub.g, r)); (d, (pub.g2, rw)) ] in
+  let proof = Spk.prove ~reps ~rng st ~secrets ~transcript:tr in
   let w = elem_len pub in
   String.concat ""
     [ B.to_bytes_be ~len:w t1; B.to_bytes_be ~len:w t2; B.to_bytes_be ~len:w t3;

@@ -205,28 +205,32 @@ let sign_internal ~rng mem ~msg ~t7_and_k' =
   let s = pub.sizes in
   let r = Interval.sample ~rng s.Gsig_sizes.free in
   let k = Interval.sample ~rng s.Gsig_sizes.free in
-  (* fixed-generator tags ride the multi-exp fast path; T4/T6 keep
-     plain pow_mod — their bases T5/T7 are fresh per signature *)
+  (* every tag but T1 and a common-base T7 is a power of g with a known
+     exponent, so it rides g's cached fixed-base tables: T4 = T5^x is
+     g^(k·x), and in fresh mode T6 = T7^x' is g^(k'·x') *)
   let t1 = B.mul_mod mem.a_mem (B.pow_mod_multi [ (pub.y, r) ] pub.n) pub.n in
   let t2 = B.pow_mod_multi [ (pub.g, r) ] pub.n in
   let t3 = B.pow_mod_multi [ (pub.g, mem.e_mem); (pub.h, r) ] pub.n in
   let t5 = B.pow_mod_multi [ (pub.g, k) ] pub.n in
-  let t4 = B.pow_mod t5 mem.x pub.n in
-  let t7 =
+  let t4 = B.pow_mod_multi [ (pub.g, B.mul k mem.x) ] pub.n in
+  let t7, t6, rep7 =
     match t7_and_k' with
-    | `Common_base base -> base
+    | `Common_base base -> (base, B.pow_mod base mem.x' pub.n, [])
     | `Fresh ->
       let k' = Interval.sample ~rng s.Gsig_sizes.free in
-      B.pow_mod_multi [ (pub.g, k') ] pub.n
+      let t7 = B.pow_mod_multi [ (pub.g, k') ] pub.n in
+      (t7, B.pow_mod_multi [ (pub.g, B.mul k' mem.x') ] pub.n, [ (t7, (pub.g, k')) ])
   in
-  let t6 = B.pow_mod t7 mem.x' pub.n in
   let st = statement pub ~t1 ~t2 ~t3 ~t4 ~t5 ~t6 ~t7 in
   let secrets =
     [ ("x", mem.x); ("x'", mem.x'); ("e", mem.e_mem); ("r", r);
       ("rho", B.mul mem.e_mem r) ]
   in
   let tr = base_transcript pub ~msg in
-  let proof = Spk.prove ~rng st ~secrets ~transcript:tr in
+  (* eq2's T2^b_e g^-b_rho becomes g^(r·b_e - b_rho), eq3's T5^b_x
+     g^(k·b_x), and in fresh mode eq4's T7^b_x' g^(k'·b_x') *)
+  let reps = (t2, (pub.g, r)) :: (t5, (pub.g, k)) :: rep7 in
+  let proof = Spk.prove ~reps ~rng st ~secrets ~transcript:tr in
   let w = elem_len pub in
   String.concat ""
     (List.map (fun v -> B.to_bytes_be ~len:w v) [ t1; t2; t3; t4; t5; t6; t7 ]

@@ -11,20 +11,43 @@ type statement = {
 
 type proof = { challenge : B.t; responses : (string * B.t) list }
 
-(* Π base^(±exponent) mod n, times an optional extra [target^challenge]
-   factor.  Everything — the extra factor included — goes through one
-   simultaneous multi-exponentiation, so the whole equation shares a
-   single squaring chain, and the statement's fixed bases hit the
-   cached fixed-base tables. *)
-let combine st ?extra terms exponents =
-  let pairs =
-    List.map
-      (fun t ->
-        let e = List.assoc t.var exponents in
-        (t.base, if t.positive then e else B.neg e))
-      terms
+(* a term's exponent, negated for a term in the denominator *)
+let signed exponents t =
+  let e = List.assoc t.var exponents in
+  if t.positive then e else B.neg e
+
+(* The verifier's Π base^(±exponent) mod n, times the extra
+   [target^challenge] factor.  Everything goes through one simultaneous
+   multi-exponentiation, so the whole equation shares a single squaring
+   chain, and the statement's fixed bases hit the cached fixed-base
+   tables. *)
+let combine st ~extra terms exponents =
+  let pairs = List.map (fun t -> (t.base, signed exponents t)) terms in
+  B.pow_mod_multi (extra :: pairs) st.modulus
+
+(* The prover's commitment Π base^(±blinder) mod n.  A term over a base
+   the prover knows as gen^k (from [reps]) becomes gen^(k·blinder), and
+   the terms over one base merge into a single signed exponent, so a
+   one-shot tag's per-call table and squarings become windows over a
+   generator's cached tables. *)
+let commitment st ~reps terms blinders =
+  let rec merge ((b, e) as term) = function
+    | [] -> [ term ]
+    | (b', e') :: rest when B.equal b b' -> (b', B.add e' e) :: rest
+    | p :: rest -> p :: merge term rest
   in
-  let pairs = match extra with None -> pairs | Some p -> p :: pairs in
+  let pairs =
+    List.fold_left
+      (fun acc t ->
+        let e = signed blinders t in
+        let rep =
+          List.find_map
+            (fun (b, gk) -> if B.equal b t.base then Some gk else None)
+            reps
+        in
+        merge (match rep with Some (g, k) -> (g, B.mul k e) | None -> (t.base, e)) acc)
+      [] terms
+  in
   B.pow_mod_multi pairs st.modulus
 
 (* Bind the statement structure itself: bases, targets, variable specs. *)
@@ -57,7 +80,7 @@ let absorb_commitments tr ds =
 let eq_names = Array.init 16 (Printf.sprintf "spk.eq%d")
 let eq_name i = if i < Array.length eq_names then eq_names.(i) else "spk.eq-rest"
 
-let prove ~rng st ~secrets ~transcript =
+let prove ?(reps = []) ~rng st ~secrets ~transcript =
   Prof.frame "spk.prove" @@ fun () ->
   List.iter
     (fun (name, _) ->
@@ -69,7 +92,8 @@ let prove ~rng st ~secrets ~transcript =
   in
   let ds =
     List.mapi
-      (fun i rel -> Prof.frame (eq_name i) (fun () -> combine st rel.terms blinders))
+      (fun i rel ->
+        Prof.frame (eq_name i) (fun () -> commitment st ~reps rel.terms blinders))
       st.relations
   in
   let tr = absorb_commitments (absorb_statement transcript st) ds in

@@ -37,6 +37,7 @@ type proof = {
 }
 
 val prove :
+  ?reps:(Bigint.t * (Bigint.t * Bigint.t)) list ->
   rng:(int -> string) ->
   statement ->
   secrets:(string * Bigint.t) list ->
@@ -44,7 +45,14 @@ val prove :
   proof
 (** [transcript] must already bind the context (public parameters, tags,
     message); the engine absorbs the statement structure and commitments on
-    top.  @raise Invalid_argument if a secret is missing or unknown. *)
+    top.  @raise Invalid_argument if a secret is missing or unknown.
+
+    [reps] lists the discrete logs the prover knows: [(base, (gen, k))]
+    with [base = gen^k mod n].  A commitment term over [base] is then
+    evaluated as [gen^(k·blinder)] and merged with the relation's other
+    terms over [gen]; the commitments, and so the proof, are the same
+    as without [reps].  A wrong [k] yields a proof that {!verify}
+    rejects. *)
 
 val verify : statement -> transcript:Transcript.t -> proof -> bool
 (** Recomputes the commitments from the responses, replays the transcript,

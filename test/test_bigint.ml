@@ -802,9 +802,16 @@ let test_chain_exponent_edges () =
         [ small_top k; near_top k 0; near_top k 12345 ])
     [ 20; 79 ]
 
-(* a warm fixed-base product, an unrelated chain on the same modulus,
-   then the first product again: a chain that wrote into a cached table
-   entry would change the third answer *)
+(* v at the bottom of each of the 7 chunks a 200-bit exponent spans:
+   one window per chunk, taking entry v of every chunk table *)
+let spread v =
+  List.fold_left
+    (fun acc c -> B.add acc (B.shift_left (B.of_int v) (32 * c)))
+    B.zero [ 0; 1; 2; 3; 4; 5; 6 ]
+
+(* a warm fixed-base product, every entry of every chunk table, an
+   unrelated chain on the same modulus, then all of them again: a chain
+   that wrote into a cached table entry would change a later answer *)
 let test_fixed_base_cache_integrity () =
   B.reset_caches ();
   List.iter
@@ -815,17 +822,138 @@ let test_fixed_base_cache_integrity () =
       let e2 = B.random_bits (Test_rng.make 13) 300 in
       let reference pairs = div_product pairs n in
       in_mode B.Multi_fixed (fun () ->
-          (* four sightings: the last builds g's table *)
+          (* four sightings: the last builds g's 7 chunk tables *)
           for _ = 1 to 4 do ignore (B.pow_mod_multi [ (g, e1) ] n) done;
           let check msg pairs =
             Alcotest.(check bool) msg true
               (B.equal (B.pow_mod_multi pairs n) (reference pairs))
           in
+          let every_entry msg =
+            for i = 0 to 31 do
+              check (Printf.sprintf "%s, entry %d" msg i) [ (g, spread ((2 * i) + 1)) ]
+            done
+          in
           check "warm fixed-base product" [ (g, e1) ];
+          every_entry "every chunk table";
           check "unrelated chain" [ (h, e2); (B.succ g, e1) ];
           ignore (B.pow_mod h e2 n);
-          check "first product again" [ (g, e1) ]))
+          check "first product again" [ (g, e1) ];
+          every_entry "every chunk table again"))
     [ small_top 20; near_top 20 7; all_ones 40 ]
+
+(* ------------------------------------------------------------------ *)
+(* The one chain's windows against the division ladder: exponent       *)
+(* lengths at the 32-bit chunk boundaries and at every sliding-width   *)
+(* step, window-extreme exponents, chunk-table growth, short dynamic   *)
+(* terms beside long fixed ones, and fixed terms of both signs         *)
+(* ------------------------------------------------------------------ *)
+
+(* both sides of the chunk boundaries at 32, 64 and 512 bits and of the
+   dynamic width steps at 24, 80, 240, 672 and 1 792 bits *)
+let boundary_lengths =
+  [ 31; 32; 33; 63; 64; 65; 511; 512; 513; 23; 24; 79; 80; 239; 240; 671; 672;
+    1791; 1792 ]
+
+(* an exponent of exactly [nb] bits: uniform below the top bit, all
+   ones (every window the largest odd power) or 2^(nb-1) (one window) *)
+let shaped_exponent nb shape seed =
+  match shape with
+  | 0 -> B.add (B.shift_left B.one (nb - 1)) (B.random_bits (Test_rng.make seed) (nb - 1))
+  | 1 -> B.pred (B.shift_left B.one nb)
+  | _ -> B.shift_left B.one (nb - 1)
+
+(* an odd modulus of exactly k limbs and a base below it *)
+let gen_modulus_base =
+  let open QCheck2.Gen in
+  let* k = oneofl [ 20; 40 ] in
+  let* seed = int_bound max_int in
+  let rng = Test_rng.make seed in
+  let n =
+    B.add (B.shift_left B.one ((26 * k) - 1)) (B.random_bits rng ((26 * k) - 1))
+  in
+  let n = if B.is_even n then B.succ n else n in
+  pure (n, B.random_below rng n)
+
+let gen_exponent lo hi =
+  QCheck2.Gen.(
+    map
+      (fun (nb, seed) -> shaped_exponent nb 0 seed)
+      (pair (int_range lo hi) (int_bound max_int)))
+
+let gen_boundary =
+  QCheck2.Gen.(
+    map
+      (fun ((n, b_), (nb, shape, seed)) -> (n, b_, shaped_exponent nb shape seed))
+      (pair gen_modulus_base
+         (triple (oneofl boundary_lengths) (int_bound 2) (int_bound max_int))))
+
+(* a fixed base's first table from a short exponent, then grown for a
+   longer one *)
+let gen_growth =
+  QCheck2.Gen.(
+    map
+      (fun ((n, b_), (short, long)) -> (n, b_, short, long))
+      (pair gen_modulus_base (pair (gen_exponent 1 100) (gen_exponent 101 1400))))
+
+(* a 1 364-bit exponent (the signature's ρ blinder) for a fixed base,
+   and one of 1 to 31 bits for a dynamic one *)
+let gen_short_beside_fixed =
+  QCheck2.Gen.(
+    map
+      (fun ((n, g), (seed, long, short)) ->
+        (n, g, B.random_below (Test_rng.make seed) n, long, short))
+      (pair gen_modulus_base
+         (triple (int_bound max_int) (gen_exponent 1364 1364) (gen_exponent 1 31))))
+
+(* two fixed terms on the RSA modulus, the second with a negative
+   exponent: its base's cached inverse gets chunk tables of its own *)
+let gen_mixed_sign =
+  QCheck2.Gen.(
+    map
+      (fun (seed, e1, e2) ->
+        let n = (Lazy.force Params.rsa_512).Groupgen.n in
+        let rng = Test_rng.make seed in
+        (n, B.random_below rng n, B.random_below rng n, e1, e2))
+      (triple (int_bound max_int) (gen_exponent 9 1400) (gen_exponent 9 1400)))
+
+(* four sightings of every base in [terms] (exponents 1 or -1): the
+   last builds one-chunk tables, for a -1 term over the base's cached
+   inverse *)
+let warm n terms =
+  for _ = 1 to 4 do ignore (B.pow_mod_multi terms n) done
+
+let window_props =
+  [ qtest "chunk and width boundaries agree with division ladder" ~count:40
+      ~long_factor:20 gen_boundary
+      (fun (n, b_, e) -> chains_agree n b_ e);
+    qtest "chunk tables grow from a short exponent to a long one" ~count:20
+      ~long_factor:20 gen_growth
+      (fun (n, b_, short, long) ->
+        in_mode B.Multi_fixed (fun () ->
+            for _ = 1 to 3 do ignore (B.pow_mod_multi [ (b_, B.one) ] n) done;
+            let agrees e =
+              B.equal (B.pow_mod_multi [ (b_, e) ] n) (B.pow_mod_div b_ e n)
+            in
+            (* the fourth sighting builds the short tables, the long
+               exponent extends them, the short one reads them again *)
+            agrees short && agrees long && agrees short));
+    qtest "short dynamic term beside a 1 364-bit fixed term" ~count:20
+      ~long_factor:20 gen_short_beside_fixed
+      (fun (n, g, h, long, short) ->
+        in_mode B.Multi_fixed (fun () ->
+            warm n [ (g, B.one) ];
+            let pairs = [ (g, long); (h, short) ] in
+            B.equal (B.pow_mod_multi pairs n) (div_product pairs n)));
+    qtest "fixed terms of mixed sign agree with division ladder" ~count:20
+      ~long_factor:20 gen_mixed_sign
+      (fun (n, g, h, e1, e2) ->
+        QCheck2.assume (B.equal (B.gcd h n) B.one);
+        in_mode B.Multi_fixed (fun () ->
+            warm n [ (g, B.one); (h, B.neg B.one) ];
+            B.equal
+              (B.pow_mod_multi [ (g, e1); (h, B.neg e2) ] n)
+              (div_product [ (g, e1); (B.invert h n, e2) ] n)));
+  ]
 
 (* The lazy-carry bound: 511 limbs is the widest modulus the Montgomery
    kernels accept.  At 512 limbs pow_mod and pow_mod_multi must take the
@@ -995,5 +1123,5 @@ let () =
             test_chain_exponent_edges;
           Alcotest.test_case "fixed-base cache integrity" `Quick
             test_fixed_base_cache_integrity ]
-        @ chain_props );
+        @ chain_props @ window_props );
     ]

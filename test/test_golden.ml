@@ -121,6 +121,47 @@ let test_params_stable () =
   Alcotest.(check string) "base_of_bytes deterministic" (Bigint.to_hex b1)
     (Bigint.to_hex b2)
 
+(* Signature bytes.  The exponentiation kernels and the signer may
+   evaluate a tag or a commitment in any order or grouping, but the
+   group elements, and so the bytes, must not move: a seeded member's
+   signature is pinned by its SHA-256.  Each member joins and signs from
+   its own DRBG, so the three pins are independent. *)
+let join_acjt seed =
+  let rng = Drbg.bytes_fn (Drbg.of_int_seed seed) in
+  let mgr = Acjt.setup ~rng ~modulus:(Lazy.force Params.rsa_512) in
+  let req, offer = Acjt.join_begin ~rng (Acjt.public mgr) in
+  let _, cert, _ = Option.get (Acjt.join_issue ~rng mgr ~uid:"golden" ~offer) in
+  (Option.get (Acjt.join_complete req ~cert), rng)
+
+let join_kty seed =
+  let rng = Drbg.bytes_fn (Drbg.of_int_seed seed) in
+  let mgr = Kty.setup ~rng ~modulus:(Lazy.force Params.rsa_512) in
+  let req, offer = Kty.join_begin ~rng (Kty.public mgr) in
+  let _, cert, _ = Option.get (Kty.join_issue ~rng mgr ~uid:"golden" ~offer) in
+  (Option.get (Kty.join_complete req ~cert), Kty.public mgr, rng)
+
+let test_signatures_stable () =
+  let msg = "golden signature" in
+  let mem, rng = join_acjt 780 in
+  let sigma = Acjt.sign ~rng mem ~msg in
+  Alcotest.(check bool) "acjt verifies" true (Acjt.verify mem ~msg sigma);
+  Alcotest.(check string) "acjt signature"
+    "47f78ebac8a10f459f0f52b9533b898544138fdcf9d18117bd3aff69eb65f122"
+    (hex (Sha256.digest sigma));
+  let mem, _, rng = join_kty 781 in
+  let sigma = Kty.sign ~rng mem ~msg in
+  Alcotest.(check bool) "kty fresh verifies" true (Kty.verify mem ~msg sigma);
+  Alcotest.(check string) "kty fresh-mode signature"
+    "1ea8929cbfb937383230146ca0942d710c9baa79532ab40cfe54cabb132d78e5"
+    (hex (Sha256.digest sigma));
+  let mem, pub, rng = join_kty 782 in
+  let base = Kty.base_of_bytes pub "golden-sid" in
+  let sigma = Kty.sign_with_base ~rng mem ~msg ~base in
+  Alcotest.(check bool) "kty common-base verifies" true (Kty.verify mem ~msg sigma);
+  Alcotest.(check string) "kty common-base signature"
+    "11ea0382bc4bcb28b5e1061a2ec00c983a83fb1df42d99f107ab6e47b4569a9b"
+    (hex (Sha256.digest sigma))
+
 let () =
   Alcotest.run "golden"
     [ ( "formats",
@@ -130,5 +171,6 @@ let () =
           Alcotest.test_case "derived sizes" `Quick test_derived_sizes_stable;
           Alcotest.test_case "interval constants" `Quick test_interval_constants_stable;
           Alcotest.test_case "parameter fingerprints" `Quick test_params_stable;
+          Alcotest.test_case "signature bytes" `Quick test_signatures_stable;
         ] );
     ]

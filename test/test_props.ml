@@ -7,8 +7,10 @@ module B = Bigint
 
 let rng_of_seed seed = Drbg.bytes_fn (Drbg.of_int_seed seed)
 
-let qtest name ?(count = 50) gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
+(* [long_factor] multiplies [count] under QCHECK_LONG=1, the CI sweep *)
+let qtest name ?(count = 50) ?long_factor gen prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count ?long_factor gen prop)
 
 (* ------------------------------------------------------------------ *)
 (* CGKD churn: any join/leave sequence keeps live members in sync and   *)
@@ -132,14 +134,17 @@ let accumulator_prop (seed, ops) =
 (* SPK over randomly-shaped statements                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Build a random statement with 1-3 variables and 1-3 relations whose
-   targets are computed from random secrets; completeness must hold, and
-   a perturbed secret must break it. *)
+(* Build a random statement with 1-3 variables whose relations' targets
+   are computed from random secrets; completeness must hold, and a
+   perturbed secret must break it.  Some bases are g^k for a k the
+   prover knows (returned as [reps]): each such base appears beside g in
+   a relation of its own, so a prover given [reps] merges the two
+   terms, and in random relations. *)
 let random_statement seed =
   let rng = rng_of_seed seed in
-  let m = Lazy.force Params.rsa_512 in
-  let n = m.Groupgen.n in
-  let nvars = 1 + (Char.code (rng 1).[0] mod 3) in
+  let n = (Lazy.force Params.rsa_512).Groupgen.n in
+  let byte () = Char.code (rng 1).[0] in
+  let nvars = 1 + (byte () mod 3) in
   let vars =
     List.init nvars (fun i ->
         let spec =
@@ -149,8 +154,16 @@ let random_statement seed =
         (Printf.sprintf "v%d" i, spec))
   in
   let secrets = List.map (fun (name, spec) -> (name, Interval.sample ~rng spec)) vars in
-  let nrels = 1 + (Char.code (rng 1).[0] mod 3) in
-  let relation_of terms =
+  let g = Groupgen.sample_qr ~rng n in
+  let reps =
+    List.init (1 + (byte () mod 2)) (fun _ ->
+        let k = B.random_bits rng (64 + (byte () * 4)) in
+        (B.pow_mod g k n, (g, k)))
+  in
+  let term ?(var = fst (List.nth vars (byte () mod nvars))) base =
+    { Spk.base; var; positive = byte () mod 2 = 0 }
+  in
+  let relation terms =
     let target =
       List.fold_left
         (fun acc t ->
@@ -159,42 +172,40 @@ let random_statement seed =
           B.mul_mod acc (B.pow_mod t.Spk.base e n) n)
         B.one terms
     in
-    { Spk.target = target; terms }
+    { Spk.target; terms }
   in
-  let random_relations =
-    List.init nrels (fun _ ->
-        let nterms = 1 + (Char.code (rng 1).[0] mod nvars) in
-        let terms =
-          List.init nterms (fun j ->
-              let var, _ = List.nth vars ((j + Char.code (rng 1).[0]) mod nvars) in
-              { Spk.base = Groupgen.sample_qr ~rng n;
-                var;
-                positive = Char.code (rng 1).[0] mod 2 = 0;
-              })
-        in
-        relation_of terms)
-  in
-  (* pin every variable in at least one single-term relation, so that the
-     soundness property (perturb one secret -> proof fails) cannot pick a
-     variable the statement never constrains *)
+  (* pin every variable in a single-term relation of a positive term, so
+     that the soundness property (perturb one secret -> proof fails)
+     cannot pick a variable the statement never constrains *)
   let pinned =
     List.map
-      (fun (name, _) ->
-        relation_of
-          [ { Spk.base = Groupgen.sample_qr ~rng n; var = name; positive = true } ])
+      (fun (var, _) ->
+        relation [ { (term ~var (Groupgen.sample_qr ~rng n)) with positive = true } ])
       vars
   in
-  let relations = pinned @ random_relations in
-  ({ Spk.modulus = n; vars; relations }, secrets, rng)
+  let merged = List.map (fun (base, _) -> relation [ term base; term g ]) reps in
+  let pool = g :: List.map fst reps in
+  let random =
+    List.init (1 + (byte () mod 3)) (fun _ ->
+        relation
+          (List.init (1 + (byte () mod 3)) (fun _ ->
+               term
+                 (if byte () mod 2 = 0 then Groupgen.sample_qr ~rng n
+                  else List.nth pool (byte () mod List.length pool)))))
+  in
+  ( { Spk.modulus = n; vars; relations = pinned @ merged @ random },
+    secrets,
+    reps,
+    rng )
 
 let spk_random_complete seed =
-  let st, secrets, rng = random_statement seed in
+  let st, secrets, _, rng = random_statement seed in
   let tr = Transcript.create ~domain:"prop" in
   let proof = Spk.prove ~rng st ~secrets ~transcript:tr in
   Spk.verify st ~transcript:tr proof
 
 let spk_random_sound seed =
-  let st, secrets, rng = random_statement seed in
+  let st, secrets, _, rng = random_statement seed in
   let tr = Transcript.create ~domain:"prop" in
   (* perturb one secret *)
   let bad =
@@ -204,6 +215,21 @@ let spk_random_sound seed =
   in
   let proof = Spk.prove ~rng st ~secrets:bad ~transcript:tr in
   not (Spk.verify st ~transcript:tr proof)
+
+(* proving with [reps] must give the very proof the plain prover gives
+   from the same DRBG seed, and a representation off by one in k a proof
+   that verification rejects *)
+let spk_reps_prop seed =
+  let st, secrets, reps, _ = random_statement seed in
+  let tr = Transcript.create ~domain:"prop" in
+  let prove reps =
+    Spk.prove ~reps ~rng:(rng_of_seed (seed + 1)) st ~secrets ~transcript:tr
+  in
+  let folded = prove reps in
+  let off_by_one = List.map (fun (base, (g, k)) -> (base, (g, B.succ k))) reps in
+  String.equal (Spk.encode st (prove [])) (Spk.encode st folded)
+  && Spk.verify st ~transcript:tr folded
+  && not (Spk.verify st ~transcript:tr (prove off_by_one))
 
 (* ------------------------------------------------------------------ *)
 (* Codec fuzz                                                           *)
@@ -302,7 +328,9 @@ let () =
       ( "spk-random-statements",
         [ qtest "completeness" ~count:8 QCheck2.Gen.int spk_random_complete;
           qtest "soundness (perturbed witness)" ~count:8 QCheck2.Gen.int
-            spk_random_sound ] );
+            spk_random_sound;
+          qtest "known representations: same proof, wrong k rejected" ~count:8
+            ~long_factor:20 QCheck2.Gen.int spk_reps_prop ] );
       ( "codec-fuzz",
         [ qtest "wire decode total + canonical" ~count:500
             QCheck2.Gen.(string_size ~gen:char (int_bound 128))
