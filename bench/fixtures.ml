@@ -17,56 +17,62 @@ let fault_seeds = [ 11; 23; 47 ]
    [s1_fuzz ~m:4 ~sessions ~attack_seed ()] at the same seed *)
 let attack_seeds = [ 101; 202; 303 ]
 
-let scheme1_world =
-  lazy
-    (let ga = Scheme1.default_authority ~rng:(rng_of 1000) () in
-     let members =
-       Array.init max_members (fun i ->
-           match
-             Scheme1.admit ga ~uid:(Printf.sprintf "m%d" i)
-               ~member_rng:(rng_of (1100 + i))
-           with
-           | Some v -> v
-           | None -> failwith "admit")
-     in
-     Array.iteri
-       (fun i (_, upd) ->
-         Array.iteri
-           (fun j (m, _) -> if j < i then ignore (Scheme1.update m upd))
-           members)
-       members;
-     (ga, Array.map fst members))
+(* A world is built from fixed seeds, so every build is the same world in
+   the same DRBG state: [scheme1_world] and [scheme2_world] are the shared
+   copies most experiments advance in turn, and a caller that must not
+   move them (E3's timed loop runs a speed-dependent number of
+   handshakes) builds a private one. *)
+let build_scheme1_world () =
+  let ga = Scheme1.default_authority ~rng:(rng_of 1000) () in
+  let members =
+    Array.init max_members (fun i ->
+        match
+          Scheme1.admit ga ~uid:(Printf.sprintf "m%d" i)
+            ~member_rng:(rng_of (1100 + i))
+        with
+        | Some v -> v
+        | None -> failwith "admit")
+  in
+  Array.iteri
+    (fun i (_, upd) ->
+      Array.iteri
+        (fun j (m, _) -> if j < i then ignore (Scheme1.update m upd))
+        members)
+    members;
+  (ga, Array.map fst members)
 
-let scheme2_world =
-  lazy
-    (let ga = Scheme2.default_authority ~rng:(rng_of 2000) () in
-     let members =
-       Array.init max_members (fun i ->
-           match
-             Scheme2.admit ga ~uid:(Printf.sprintf "m%d" i)
-               ~member_rng:(rng_of (2100 + i))
-           with
-           | Some v -> v
-           | None -> failwith "admit")
-     in
-     Array.iteri
-       (fun i (_, upd) ->
-         Array.iteri
-           (fun j (m, _) -> if j < i then ignore (Scheme2.update m upd))
-           members)
-       members;
-     (ga, Array.map fst members))
+let build_scheme2_world () =
+  let ga = Scheme2.default_authority ~rng:(rng_of 2000) () in
+  let members =
+    Array.init max_members (fun i ->
+        match
+          Scheme2.admit ga ~uid:(Printf.sprintf "m%d" i)
+            ~member_rng:(rng_of (2100 + i))
+        with
+        | Some v -> v
+        | None -> failwith "admit")
+  in
+  Array.iteri
+    (fun i (_, upd) ->
+      Array.iteri
+        (fun j (m, _) -> if j < i then ignore (Scheme2.update m upd))
+        members)
+    members;
+  (ga, Array.map fst members)
 
-let s1_handshake m =
-  let ga, members = Lazy.force scheme1_world in
+let scheme1_world = lazy (build_scheme1_world ())
+let scheme2_world = lazy (build_scheme2_world ())
+
+let s1_handshake ?(world = scheme1_world) m =
+  let ga, members = Lazy.force world in
   let fmt = Scheme1.default_format ga in
   let parts =
     Array.init m (fun i -> Scheme1.participant_of_member members.(i))
   in
   Scheme1.run_session ~fmt parts
 
-let s2_handshake m =
-  let ga, members = Lazy.force scheme2_world in
+let s2_handshake ?(world = scheme2_world) m =
+  let ga, members = Lazy.force world in
   let fmt = Scheme2.default_format ga in
   let gpub = Scheme2.group_public ga in
   let parts =

@@ -240,18 +240,26 @@ let e3 () =
   header "E3  handshake wall-clock latency"
     "implied by the O(m) per-party costs: total work O(m^2) in the session \
      (m parties x O(m) each), dominated by GSIG verification";
+  (* the timed loop runs as many handshakes as fit in its quota, so it
+     gets private worlds (the shared members' DRBGs, which E12 and E13
+     draw from, stay where E1 and E2 left them) and its products are
+     dropped from the counters and caches before the count sections *)
+  let world1 = Lazy.from_val (Fixtures.build_scheme1_world ()) in
+  let world2 = Lazy.from_val (Fixtures.build_scheme2_world ()) in
   let tests =
     List.map
       (fun m ->
         Test.make
           ~name:(Printf.sprintf "scheme1 handshake m=%d" m)
-          (Staged.stage (fun () -> ignore (s1_handshake m))))
+          (Staged.stage (fun () -> ignore (s1_handshake ~world:world1 m))))
       [ 2; 3; 4; 6; 8 ]
     @ [ Test.make ~name:"scheme2 handshake m=4"
-          (Staged.stage (fun () -> ignore (s2_handshake 4))) ]
+          (Staged.stage (fun () -> ignore (s2_handshake ~world:world2 4))) ]
   in
   print_timings ~experiment:"e3" "wall-clock (512-bit parameters, simulated network):"
     (run_bechamel ~limit:4 tests);
+  Bigint.reset_caches ();
+  Bigint.reset_counters ();
   (* count ablation: one steady-state ACJT verify under each multi-exp
      evaluation mode.  Mul counts are exact functions of the fixture
      (fixed seed, deterministic profiler), so the >=2x gate below is
@@ -321,7 +329,50 @@ let e3 () =
       (Printf.sprintf
          "e3: multi-exp + fixed-base verify uses %d muls vs %d folded — \
           expected a >= 2x cut"
-         fixed folded)
+         fixed folded);
+  (* the token-revocation tax: one warm KTY verify of a fresh signature
+     against CRLs of 0 to 16 revoked members' tracing tokens, on a
+     fixture of its own (counted with the mul counter, no timed loop) *)
+  let rng = rng_of 32 in
+  let mgr = Kty.setup ~rng ~modulus in
+  let join uid =
+    let req, offer = Kty.join_begin ~rng (Kty.public mgr) in
+    match Kty.join_issue ~rng mgr ~uid ~offer with
+    | Some (_, cert, _) -> Option.get (Kty.join_complete req ~cert)
+    | None -> failwith "e3: kty join"
+  in
+  let signer = join "signer" in
+  let verifier = ref (join "verifier") in
+  let revoked = List.init 16 (fun i -> Printf.sprintf "r%d" i) in
+  List.iter (fun uid -> ignore (join uid)) revoked;
+  let verify_muls () =
+    let sigma = Kty.sign ~rng signer ~msg:"e3" in
+    let c0 = Bigint.mul_count () in
+    assert (Kty.verify !verifier ~msg:"e3" sigma);
+    Bigint.mul_count () - c0
+  in
+  (* past fb_use_threshold: the generators' tables are built *)
+  for _ = 1 to 5 do ignore (verify_muls ()) done;
+  Printf.printf "\nKTY verify vs |CRL| (one warm verify, fresh signature):\n%6s %18s\n"
+    "|CRL|" "bigint.mul total";
+  (* revoke r0 .. r15 in turn, measuring at |CRL| = 0, 1, 2, 4, 8, 16 *)
+  let rec sweep uids =
+    let len = Kty.crl_length !verifier in
+    if List.mem len [ 0; 1; 2; 4; 8; 16 ] then begin
+      let muls = verify_muls () in
+      Printf.printf "%6d %18d\n" len muls;
+      Report.add ~experiment:"e3" ~series:"kty verify muls" ~param:len
+        ~unit_:"count" (float_of_int muls)
+    end;
+    match uids with
+    | [] -> ()
+    | uid :: rest ->
+      (match Kty.revoke ~rng mgr ~uid with
+       | Some (_, upd) -> verifier := Option.get (Kty.apply_update !verifier upd)
+       | None -> failwith "e3: kty revoke");
+      sweep rest
+  in
+  sweep revoked
 
 (* ------------------------------------------------------------------ *)
 (* E4: DGKA — Burmester-Desmedt vs GDH.2                               *)

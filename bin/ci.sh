@@ -142,8 +142,10 @@ echo "== bench regression gate: compare vs BENCH_8.json =="
 # so the experiment sets match and the synthesized rows (per-experiment
 # "bigint.mul total", document-level "elapsed_s") are gated too.  It is
 # the one live baseline: e1 pins the per-party exponentiation counts.  e3
-# carries the multi-exponentiation count ablation and fails hard on its
-# own if the fixed-base arm loses its >= 2x mul cut over folded pow_mod;
+# carries the multi-exponentiation count ablation, which fails hard on
+# its own if the fixed-base arm loses its >= 2x mul cut over folded
+# pow_mod, and the products of one warm KTY verify at |CRL| = 0, 1, 2,
+# 4, 8 and 16;
 # e14 fails hard on its own if either tree scheme's churn telemetry
 # comes back empty or a tracked member fails to apply a rekey; e15
 # fails hard on its own if the 1000-session swarm is not byte-identical
@@ -155,6 +157,7 @@ grep -q '"scheme1 exps/party"' "$out"
 grep -q '"verify muls (folded)"' "$out"
 grep -q '"verify muls (multi+fixed)"' "$out"
 grep -q '"spk muls (multi)"' "$out"
+grep -q '"kty verify muls"' "$out"
 grep -q '"schema": "shs-bench/1"' "$out"
 grep -q 'prof.bigint.mul:' "$out"
 grep -q 'prof.limb_words:' "$out"

@@ -1123,25 +1123,30 @@ let odd_powers ctx p n =
   end;
   t
 
-(* chunk c's base, base^(2^(32c)), is chunk c-1's entry 0 squared 32
-   times in a copy *)
-let fb_extend ctx e nchunks =
-  let cur = Array.length e.fb_chunks in
-  if cur < nchunks then begin
+let chunks_for bits = (bits + fb_stride - 1) / fb_stride
+
+(* [chunks] grown to [nchunks] chunk tables of the 2^(width-1) odd
+   powers of base^(2^(32c)) ([base] reduced); chunk c's base is chunk
+   c-1's entry 0 squared 32 times in a copy.  The cached tables and
+   [pow_mod_many]'s per-call table are both built here. *)
+let grow_chunks ctx ~width base chunks nchunks =
+  let cur = Array.length chunks in
+  if cur >= nchunks then chunks
+  else begin
     let grown = Array.make nchunks [||] in
-    Array.blit e.fb_chunks 0 grown 0 cur;
+    Array.blit chunks 0 grown 0 cur;
     for c = cur to nchunks - 1 do
       let p =
-        if c = 0 then Montgomery.to_mont ctx e.fb_base
+        if c = 0 then Montgomery.to_mont ctx base
         else begin
           let q = Array.copy grown.(c - 1).(0) in
           for _ = 1 to fb_stride do Montgomery.sqr_into ctx q q done;
           q
         end
       in
-      grown.(c) <- odd_powers ctx p (1 lsl (fb_width - 1))
+      grown.(c) <- odd_powers ctx p (1 lsl (width - 1))
     done;
-    e.fb_chunks <- grown
+    grown
   end
 
 (* table lookup for one pair: [Some chunks] once the base has recurred
@@ -1151,7 +1156,8 @@ let fb_tables_for ctx b m ebits =
   e.fb_uses <- e.fb_uses + 1;
   if e.fb_uses < fb_use_threshold then None
   else begin
-    fb_extend ctx e ((ebits + fb_stride - 1) / fb_stride);
+    e.fb_chunks <-
+      grow_chunks ctx ~width:fb_width e.fb_base e.fb_chunks (chunks_for ebits);
     Some e.fb_chunks
   end
 
@@ -1193,41 +1199,21 @@ let slide mag ~lo ~hi ~width table emit =
     end
   done
 
-(* Straus/Shamir core: bases reduced, exponents positive, modulus
-   [mont_ok].  Dynamic terms keep their windows as a list each, (chain
-   step, table entry) topmost first; fixed terms drop theirs into one
-   bucket per chain step below 32.  Nothing
-   allocated per call is longer than the 32 buckets, the odd-power
-   tables and the k-limb residues, so below 257-limb moduli a call stays
-   in the minor heap.
-   The accumulator is a fresh array that the first window is copied
-   into, so no cached table entry is ever written. *)
-let mont_multi ~fixed_tables m pairs =
-  let ctx = mont_ctx m in
+(* a chunked term's windows: chunk c's, of width [width] over its 32
+   bits of [e], into the bucket of their chain step *)
+let drop_chunked fixed_at chunks ~width e =
+  for c = 0 to chunks_for (num_bits e) - 1 do
+    slide e.mag ~lo:(c * fb_stride) ~hi:((c + 1) * fb_stride) ~width chunks.(c)
+      (fun i x -> fixed_at.(i) <- x :: fixed_at.(i))
+  done
+
+(* The one chain: [fixed_at] holds the chunked terms' windows, one
+   bucket per chain step below 32, and [dyn] each dynamic term's
+   windows as a list of (chain step, table entry), topmost first.  The
+   accumulator is a fresh array that the first window is copied into,
+   so no table entry is ever written. *)
+let run_chain ctx fixed_at dyn =
   let k = ctx.Montgomery.k in
-  let fixed_at = Array.make fb_stride [] in
-  let dyn =
-    List.filter_map
-      (fun (b, e) ->
-        let nbits = num_bits e in
-        match if fixed_tables then fb_tables_for ctx b m nbits else None with
-        | Some chunks ->
-          for c = 0 to ((nbits + fb_stride - 1) / fb_stride) - 1 do
-            slide e.mag ~lo:(c * fb_stride) ~hi:((c + 1) * fb_stride)
-              ~width:fb_width chunks.(c) (fun i x ->
-                fixed_at.(i) <- x :: fixed_at.(i))
-          done;
-          None
-        | None ->
-          let w = slide_width nbits in
-          let table = odd_powers ctx (Montgomery.to_mont ctx b) (1 lsl (w - 1)) in
-          let ws = ref [] in
-          slide e.mag ~lo:0 ~hi:nbits ~width:w table (fun i x ->
-              ws := (i, x) :: !ws);
-          Some !ws)
-      pairs
-    |> Array.of_list
-  in
   let top = ref (-1) in
   Array.iter (function (i, _) :: _ -> top := Stdlib.max !top i | [] -> ()) dyn;
   Array.iteri
@@ -1253,6 +1239,35 @@ let mont_multi ~fixed_tables m pairs =
     if i < fb_stride then List.iter mul_in fixed_at.(i)
   done;
   Montgomery.from_mont ctx acc
+
+(* Straus/Shamir core: bases reduced, exponents positive, modulus
+   [mont_ok].  A base with cached tables is a chunked term, every other
+   base a dynamic one with a per-call table of its odd powers and
+   sliding windows over its whole exponent.  Nothing allocated per call
+   is longer than the 32 buckets, the odd-power tables and the k-limb
+   residues, so below 257-limb moduli a call stays in the minor heap. *)
+let mont_multi ~fixed_tables m pairs =
+  let ctx = mont_ctx m in
+  let fixed_at = Array.make fb_stride [] in
+  let dyn =
+    List.filter_map
+      (fun (b, e) ->
+        let nbits = num_bits e in
+        match if fixed_tables then fb_tables_for ctx b m nbits else None with
+        | Some chunks ->
+          drop_chunked fixed_at chunks ~width:fb_width e;
+          None
+        | None ->
+          let w = slide_width nbits in
+          let table = odd_powers ctx (Montgomery.to_mont ctx b) (1 lsl (w - 1)) in
+          let ws = ref [] in
+          slide e.mag ~lo:0 ~hi:nbits ~width:w table (fun i x ->
+              ws := (i, x) :: !ws);
+          Some !ws)
+      pairs
+    |> Array.of_list
+  in
+  run_chain ctx fixed_at dyn
 
 (* dispatch for a reduced base and non-negative exponent; shared by
    [pow_mod] and the folded arm of [pow_mod_multi] *)
@@ -1289,6 +1304,57 @@ let rec pow_mod b e m =
     if !Prof.active then Prof.charge Prof.Modexp ~words:(num_bits e);
     pow_mod_body (erem b m) e m
   end
+
+(* One base, many exponents ([pow_mod_many]): a per-call chunk table
+   of the base, built by [grow_chunks] at a width w of its own, serves
+   every exponent through [run_chain]'s buckets, unless one [pow_mod]
+   per exponent costs no more.  The choice counts products the way
+   [slide_width] does:
+   - a [pow_mod] of a b-bit exponent: b squarings, its odd-power table
+     and about b/(w'+1) windows, w' = [slide_width b];
+   - the table: 32 squarings per chunk past the first and 2^(w-1) odd
+     powers per chunk;
+   - an exponent over it: at most 31 squarings and about b/(w+1)
+     windows.
+   One exponent always takes [pow_mod]; at 409 bits the table pays from
+   two exponents up. *)
+let dynamic_cost bits =
+  let w = slide_width bits in
+  bits + (1 lsl (w - 1)) + (bits / (w + 1))
+
+let many_width ~count bits =
+  let nchunks = chunks_for bits in
+  let cost w =
+    (fb_stride * (nchunks - 1)) + (nchunks lsl (w - 1))
+    + (count * (fb_stride + (bits / (w + 1))))
+  in
+  let best = ref 2 in
+  for w = 3 to fb_width do if cost w < cost !best then best := w done;
+  if count >= 2 && cost !best < count * dynamic_cost bits then Some !best
+  else None
+
+let pow_mod_many b es m =
+  if m.sign <= 0 then raise Division_by_zero;
+  if List.exists (fun e -> e.sign < 0) es then
+    invalid_arg "Bigint.pow_mod_many: negative exponent";
+  let bits = List.fold_left (fun acc e -> Stdlib.max acc (num_bits e)) 0 es in
+  match if mont_ok m then many_width ~count:(List.length es) bits else None with
+  | None -> Seq.map (fun e -> pow_mod b e m) (List.to_seq es)
+  | Some width ->
+    let ctx = mont_ctx m in
+    (* built on the first power asked for, never cached past the call *)
+    let chunks = lazy (grow_chunks ctx ~width (erem b m) [||] (chunks_for bits)) in
+    Seq.map
+      (fun e ->
+        Obs.incr pow_mod_counter;
+        if !Prof.active then Prof.charge Prof.Modexp ~words:(num_bits e);
+        if is_zero e then one_mod m
+        else begin
+          let fixed_at = Array.make fb_stride [] in
+          drop_chunked fixed_at (Lazy.force chunks) ~width e;
+          run_chain ctx fixed_at [||]
+        end)
+      (List.to_seq es)
 
 let pow_mod_multi pairs m =
   if m.sign <= 0 then raise Division_by_zero;

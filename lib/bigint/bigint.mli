@@ -150,6 +150,22 @@ val pow_mod_multi : (t * t) list -> t -> t
     @raise Division_by_zero if [m] is zero or negative.
     @raise Invalid_argument if some [eᵢ < 0] with [bᵢ] not invertible. *)
 
+val pow_mod_many : t -> t list -> t -> t Seq.t
+(** [pow_mod_many b [e1; ...] m] is the sequence [b^e1 mod m, ...],
+    each element equal to [pow_mod b eᵢ m], computed when it is read:
+    a scan that stops early pays for no later power.  For two or more
+    exponents on a Montgomery modulus, one table of the base's odd
+    powers per 32-bit exponent chunk, built on the first read, serves
+    every exponent, whose windows then all fall in the chain's last 32
+    squarings; a product-count model picks its window width, or one
+    {!pow_mod} per exponent when that costs no more (always for a
+    single exponent).  The table lives as long as the sequence and
+    never enters the fixed-base cache.  Each element counts as one
+    exponentiation in {!pow_mod_count}; reading the sequence twice
+    recomputes the powers over the same table.
+    @raise Division_by_zero if [m] is zero or negative.
+    @raise Invalid_argument if some [eᵢ < 0]. *)
+
 (** Evaluation strategy for {!pow_mod_multi} — the bench E3/E8 ablation
     switch.  [Folded] replays the historical fold of independent
     {!pow_mod} calls with a multiplication between terms; [Multi] is

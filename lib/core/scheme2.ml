@@ -27,10 +27,7 @@ let sd_hooks ~gpub =
         Kty.sign_with_base ~rng mem ~msg ~base:(t7_base ~gpub ~sid));
     h_verify =
       (fun mem ~sid ~msg sigma ->
-        Kty.verify mem ~msg sigma
-        && (match Kty.t6_t7 gpub sigma with
-            | Some (_, t7) -> Bigint.equal t7 (t7_base ~gpub ~sid)
-            | None -> false));
+        Kty.verify_with_base mem ~msg ~base:(t7_base ~gpub ~sid) sigma);
     h_filter =
       (fun ~sid:_ ~gpub (verified : (int * string) list) ->
         (* eject every index whose T6 collides with another index's T6 *)

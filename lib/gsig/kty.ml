@@ -264,17 +264,26 @@ let verify_spk pub ~msg { tags; proof } =
   let st = statement pub ~t1 ~t2 ~t3 ~t4 ~t5 ~t6 ~t7 in
   Spk.verify st ~transcript:(base_transcript pub ~msg) proof
 
+(* T5^token for every token from one table of T5's powers, in CRL
+   order, stopping at the first match *)
 let revoked_by_crl pub crl { tags; _ } =
   let t4 = tags.(3) and t5 = tags.(4) in
-  List.exists (fun token -> B.equal t4 (B.pow_mod t5 token pub.n)) crl
+  Seq.exists (B.equal t4) (B.pow_mod_many t5 crl pub.n)
 
-let verify mem ~msg sigma =
+(* with [base], T7 must equal it, checked before the SPK and the CRL
+   scan are paid for *)
+let verify_internal ?base mem ~msg sigma =
   Obs.incr verify_counter;
   Prof.frame "gsig.kty.verify" @@ fun () ->
   match decode_signature mem.mpub sigma with
   | None -> false
   | Some dec ->
-    verify_spk mem.mpub ~msg dec && not (revoked_by_crl mem.mpub mem.crl dec)
+    (match base with None -> true | Some b -> B.equal dec.tags.(6) b)
+    && verify_spk mem.mpub ~msg dec
+    && not (revoked_by_crl mem.mpub mem.crl dec)
+
+let verify mem ~msg sigma = verify_internal mem ~msg sigma
+let verify_with_base mem ~msg ~base sigma = verify_internal ~base mem ~msg sigma
 
 (* ------------------------------------------------------------------ *)
 (* Open and tracing                                                    *)

@@ -33,6 +33,11 @@ val base_of_bytes : public -> string -> Bigint.t
 
 val sign_with_base : rng:(int -> string) -> member -> msg:string -> base:Bigint.t -> string
 
+val verify_with_base : member -> msg:string -> base:Bigint.t -> string -> bool
+(** {!verify}, and T7 must equal [base]: the pin is checked first, on
+    the one decode, so a signature under another base costs neither
+    the SPK nor the CRL scan.  Counts as one [gsig.verify]. *)
+
 val t6_t7 : public -> string -> (Bigint.t * Bigint.t) option
 (** The (T6, T7) pair of an encoded signature. *)
 

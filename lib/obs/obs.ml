@@ -49,10 +49,16 @@ let gauge_value g = g.g_value
 (* ------------------------------------------------------------------ *)
 
 (* Log-bucketed: every positive observation v lands in the power-of-two
-   bucket [2^(e-1), 2^e) with e from [frexp], so the bucket table is a
-   sparse exponent -> count map and quantiles interpolate inside one
-   bucket — bounded relative error (a factor of 2 per bucket, tightened
-   by clamping to the exact min/max) at O(1) memory per decade. *)
+   bucket [2^(e-1), 2^e) with e from [frexp], and quantiles interpolate
+   inside one bucket — bounded relative error (a factor of 2 per bucket,
+   tightened by clamping to the exact min/max).  The buckets are one
+   fixed array over e in [-64, 64), 2^-65 to 2^63 (an observation
+   outside counts in the end bucket), so [observe] allocates the same
+   whatever the value: a profiled run's allocation cannot depend on
+   which latency buckets the host's speed happened to hit. *)
+let bucket_lo = -64
+let bucket_count = 128
+
 type histogram = {
   h_name : string;
   h_help : string;
@@ -61,7 +67,7 @@ type histogram = {
   mutable h_min : float;
   mutable h_max : float;
   mutable h_nonpos : int;  (* observations <= 0 sit below every bucket *)
-  h_buckets : (int, int) Hashtbl.t;
+  h_buckets : int array;  (* bucket e's count at index e - bucket_lo *)
 }
 
 type hist_stats = {
@@ -82,7 +88,8 @@ let histogram ?(help = "") name =
   | None ->
     let h =
       { h_name = name; h_help = help; h_count = 0; h_sum = 0.0;
-        h_min = 0.0; h_max = 0.0; h_nonpos = 0; h_buckets = Hashtbl.create 8 }
+        h_min = 0.0; h_max = 0.0; h_nonpos = 0;
+        h_buckets = Array.make bucket_count 0 }
     in
     Hashtbl.add histograms name h;
     h
@@ -100,8 +107,8 @@ let observe h v =
   h.h_sum <- h.h_sum +. v;
   if v > 0.0 then begin
     let _, e = Float.frexp v in
-    Hashtbl.replace h.h_buckets e
-      (1 + Option.value ~default:0 (Hashtbl.find_opt h.h_buckets e))
+    let i = Int.max 0 (Int.min (bucket_count - 1) (e - bucket_lo)) in
+    h.h_buckets.(i) <- h.h_buckets.(i) + 1
   end
   else h.h_nonpos <- h.h_nonpos + 1
 
@@ -112,21 +119,20 @@ let quantile h q =
     let rank = Float.max 1.0 (q *. float_of_int h.h_count) in
     if float_of_int h.h_nonpos >= rank then h.h_min
     else begin
-      let buckets =
-        Hashtbl.fold (fun e c acc -> (e, c) :: acc) h.h_buckets []
-        |> List.sort compare
-      in
-      let rec go cum = function
-        | [] -> h.h_max
-        | (e, c) :: rest ->
-          if float_of_int (cum + c) >= rank then begin
+      let rec go cum i =
+        if i = bucket_count then h.h_max
+        else begin
+          let c = h.h_buckets.(i) in
+          if c > 0 && float_of_int (cum + c) >= rank then begin
+            let e = i + bucket_lo in
             let lo = Float.ldexp 1.0 (e - 1) and hi = Float.ldexp 1.0 e in
             let frac = (rank -. float_of_int cum) /. float_of_int c in
             Float.min h.h_max (Float.max h.h_min (lo +. (frac *. (hi -. lo))))
           end
-          else go (cum + c) rest
+          else go (cum + c) (i + 1)
+        end
       in
-      go h.h_nonpos buckets
+      go h.h_nonpos 0
     end
   end
 
@@ -369,7 +375,7 @@ let reset () =
       h.h_min <- 0.0;
       h.h_max <- 0.0;
       h.h_nonpos <- 0;
-      Hashtbl.reset h.h_buckets)
+      Array.fill h.h_buckets 0 bucket_count 0)
     histograms;
   let r = make_node "" in
   root := r;

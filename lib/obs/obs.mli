@@ -11,9 +11,11 @@
       sizes, cache occupancy).  Same cost model as counters; the
       {!Obs_series} recorder samples them over time.
     - {b histograms} — log-bucketed aggregates of float observations
-      (span latencies in nanoseconds): count/sum/min/max plus a sparse
-      power-of-two bucket table from which p50/p95/p99 are estimated
-      (interpolated within one bucket, clamped to the observed range).
+      (span latencies in nanoseconds): count/sum/min/max plus a fixed
+      array of power-of-two buckets (2{^-65} to 2{^63}, the end buckets
+      taking anything beyond) from which p50/p95/p99 are estimated
+      (interpolated within one bucket, clamped to the observed range);
+      observing allocates the same whatever the value.
     - {b spans} — hierarchical timed regions
       ([span "gcd.handshake.phase2" f]).  Span recording is gated by the
       installed {e sink}: under the default {!Noop} sink a span is one

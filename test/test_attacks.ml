@@ -403,6 +403,35 @@ let test_plain_hooks_miss_clone () =
   Alcotest.(check bool) "clone passes undetected without self-distinction" true
     (outcome r 0).Gcd_types.accepted
 
+(* h_verify pins T7 to the session's base.  Without the pin a clone
+   could sign one of its seats with a fresh T7 and show a second,
+   distinct T6 (Theorem 3's self-distinction rests on it).  Each call
+   counts one gsig.verify, accepted or not. *)
+let test_self_distinction_base_pin () =
+  let ga, members = W2.build 312 [ "a"; "b" ] in
+  let gpub = Scheme2.group_public ga in
+  let hooks = Scheme2.sd_hooks ~gpub in
+  let signer = (Hashtbl.find members "a").Scheme2.gsig in
+  let verifier = (Hashtbl.find members "b").Scheme2.gsig in
+  let rng = W2.rng_of 31201 in
+  let verifies = Obs.counter "gsig.verify" in
+  let h_verify ~sid sigma =
+    let c0 = Obs.value verifies in
+    let ok = hooks.Scheme2.h_verify verifier ~sid ~msg:"m" sigma in
+    Alcotest.(check int) "one gsig.verify per call" 1 (Obs.value verifies - c0);
+    ok
+  in
+  let pinned =
+    Kty.sign_with_base ~rng signer ~msg:"m" ~base:(Scheme2.t7_base ~gpub ~sid:"s1")
+  in
+  Alcotest.(check bool) "this session's base accepted" true (h_verify ~sid:"s1" pinned);
+  Alcotest.(check bool) "another session's base rejected" false
+    (h_verify ~sid:"s2" pinned);
+  let fresh = Kty.sign ~rng signer ~msg:"m" in
+  Alcotest.(check bool) "fresh T7 is a valid signature" true
+    (Kty.verify verifier ~msg:"m" fresh);
+  Alcotest.(check bool) "fresh T7 rejected" false (h_verify ~sid:"s1" fresh)
+
 let test_self_distinction_sybil_limit () =
   (* footnote 3: a user admitted twice (Sybil) holds two distinct x' and
      is NOT caught — self-distinction is not Sybil resistance.  This test
@@ -548,6 +577,8 @@ let () =
             test_self_distinction_catches_clone;
           Alcotest.test_case "clone missed (plain hooks)" `Slow
             test_plain_hooks_miss_clone;
+          Alcotest.test_case "T7 pinned to the session base" `Slow
+            test_self_distinction_base_pin;
           Alcotest.test_case "sybil boundary" `Slow test_self_distinction_sybil_limit;
         ] );
       ( "revocation-interaction",

@@ -955,6 +955,117 @@ let window_props =
               (div_product [ (g, e1); (B.invert h n, e2) ] n)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* One base, many exponents: the per-call chunk table against the      *)
+(* division ladder, the widths its cost model picks, and the           *)
+(* fixed-base cache it must stay out of                                *)
+(* ------------------------------------------------------------------ *)
+
+(* both sides of the 32-bit chunk boundary, of the KTY token lengths
+   (408 and 409 bits) and the verifier's 536-bit exponents, and short
+   ones below pow_mod's tiny-exponent cut *)
+let many_lengths = [ 1; 8; 9; 31; 32; 33; 407; 408; 409; 410; 536 ]
+
+(* uniform, all ones, a power of two, or zero *)
+let gen_many_exponent =
+  QCheck2.Gen.(
+    map
+      (fun (nb, shape, seed) ->
+        if shape = 3 then B.zero else shaped_exponent nb shape seed)
+      (triple (oneofl many_lengths) (int_bound 3) (int_bound max_int)))
+
+(* 0 to 20 exponents; bases 0, 1, n - 1 or uniform; one modulus in five
+   even, which takes one pow_mod per exponent *)
+let gen_many =
+  let open QCheck2.Gen in
+  let* n, b_ = gen_modulus_base in
+  let* even = map (fun i -> i = 0) (int_bound 4) in
+  let n = if even then B.succ n else n in
+  let* base = oneofl [ B.zero; B.one; B.pred n; b_ ] in
+  let* es = list_size (int_bound 20) gen_many_exponent in
+  pure (n, base, es)
+
+(* products of [count] all-ones [bits]-bit exponents over one table of
+   width [w]: the domain entry, 2^(w-1) odd powers per chunk and 32
+   squarings per chunk past the first; then per exponent one product
+   per window but the first (copied), one squaring per chain step below
+   the topmost window, and the exit *)
+let all_ones_many_products ~count ~bits w =
+  let nchunks = (bits + 31) / 32 in
+  let windows c = (Stdlib.min 32 (bits - (32 * c)) + w - 1) / w in
+  let cs = List.init nchunks Fun.id in
+  let total = List.fold_left (fun acc c -> acc + windows c) 0 cs in
+  let top = List.fold_left (fun acc c -> Stdlib.max acc (w * (windows c - 1))) 0 cs in
+  1 + (32 * (nchunks - 1)) + (nchunks lsl (w - 1)) + (count * (total + top))
+
+let muls f =
+  let c0 = B.mul_count () in
+  f ();
+  B.mul_count () - c0
+
+(* the fallback and the widths the cost model picks at 409 bits, pinned
+   by exact product counts: a width or a fallback decision that moves
+   changes them even where the powers stay right *)
+let test_many_products () =
+  let n = near_top 20 7 in
+  let b_ = B.random_below (Test_rng.make 23) n in
+  ignore (B.pow_mod b_ B.two n) (* warm the Montgomery context *);
+  let ones = B.pred (B.shift_left B.one 409) in
+  let read es = Seq.iter ignore (B.pow_mod_many b_ es n) in
+  Alcotest.(check int) "one exponent costs one pow_mod"
+    (muls (fun () -> ignore (B.pow_mod b_ ones n)))
+    (muls (fun () -> read [ ones ]));
+  List.iter
+    (fun (count, w) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d exponents: width %d" count w)
+        (all_ones_many_products ~count ~bits:409 w)
+        (muls (fun () -> read (List.init count (fun _ -> ones)))))
+    [ (2, 3); (8, 4); (16, 5) ];
+  (* a scan that stops at the first power pays the table and one chain,
+     and counts one exponentiation *)
+  let p0 = B.pow_mod_count () in
+  Alcotest.(check int) "first power only"
+    (all_ones_many_products ~count:1 ~bits:409 4)
+    (muls (fun () ->
+         ignore (Seq.uncons (B.pow_mod_many b_ (List.init 8 (fun _ -> ones)) n))));
+  Alcotest.(check int) "one exponentiation counted" 1 (B.pow_mod_count () - p0)
+
+(* the per-call table never enters the fixed-base cache: not for a base
+   read more often than fb_use_threshold, not for a base that already
+   has cached tables *)
+let test_many_stays_out_of_cache () =
+  B.reset_caches ();
+  let n = near_top 20 7 in
+  let g = B.random_below (Test_rng.make 21) n in
+  let h = B.random_below (Test_rng.make 22) n in
+  let es = List.init 8 (fun i -> B.random_bits (Test_rng.make (30 + i)) 409) in
+  in_mode B.Multi_fixed (fun () ->
+      warm n [ (g, B.one) ];
+      ignore (B.pow_mod_multi [ (g, B.pred (B.shift_left B.one 409)) ] n);
+      let size = B.fixed_base_cache_size () and words = B.fixed_base_table_words () in
+      for _ = 1 to 5 do
+        List.iter
+          (fun b_ ->
+            Alcotest.(check bool) "powers agree" true
+              (List.equal B.equal
+                 (List.of_seq (B.pow_mod_many b_ es n))
+                 (List.map (fun e -> B.pow_mod_div b_ e n) es)))
+          [ h; g ]
+      done;
+      Alcotest.(check int) "fixed-base entries" size (B.fixed_base_cache_size ());
+      Alcotest.(check int) "fixed-base table words" words
+        (B.fixed_base_table_words ()))
+
+let many_props =
+  [ qtest "pow_mod_many agrees with division ladder" ~count:20 ~long_factor:20
+      gen_many
+      (fun (n, b_, es) ->
+        List.equal B.equal
+          (List.of_seq (B.pow_mod_many b_ es n))
+          (List.map (fun e -> B.pow_mod_div b_ e n) es));
+  ]
+
 (* The lazy-carry bound: 511 limbs is the widest modulus the Montgomery
    kernels accept.  At 512 limbs pow_mod and pow_mod_multi must take the
    division ladder and build no Montgomery context. *)
@@ -1124,4 +1235,10 @@ let () =
           Alcotest.test_case "fixed-base cache integrity" `Quick
             test_fixed_base_cache_integrity ]
         @ chain_props @ window_props );
+      ( "many exponents",
+        [ Alcotest.test_case "fallback and widths by product count" `Quick
+            test_many_products;
+          Alcotest.test_case "per-call table stays out of the cache" `Quick
+            test_many_stays_out_of_cache ]
+        @ many_props );
     ]

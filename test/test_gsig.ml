@@ -350,6 +350,74 @@ let test_kty_base_of_bytes () =
   Alcotest.(check bool) "input separates" false (B.equal b1 b3)
 
 (* ------------------------------------------------------------------ *)
+(* KTY revocation against CRLs of 1 to 12 tokens                       *)
+(* ------------------------------------------------------------------ *)
+
+(* a revoked signer first, in the middle and last of every CRL length
+   from 1 to 12: [verify] rejects it wherever it sits (lists of two or
+   more tokens take the one-table path, a single token its pow_mod),
+   an unrevoked signer is accepted against the same list, and [open_]
+   refuses the revoked one at manager CRLs of 1, 6 and 12 *)
+let test_kty_crl_positions () =
+  let rng = rng_of_seed 77 in
+  let mgr = Kty.setup ~rng ~modulus:(Lazy.force rsa) in
+  let join uid =
+    let req, offer = Kty.join_begin ~rng (Kty.public mgr) in
+    match Kty.join_issue ~rng mgr ~uid ~offer with
+    | Some (_, cert, _) -> Option.get (Kty.join_complete req ~cert)
+    | None -> Alcotest.fail "join"
+  in
+  let signer = join "signer" in
+  let clean = join "clean" in
+  let verifier = join "verifier" in
+  let others = List.init 11 (fun i -> Printf.sprintf "d%d" i) in
+  List.iter (fun uid -> ignore (join uid)) others;
+  let revoked_sig = Kty.sign ~rng signer ~msg:"m" in
+  let clean_sig = Kty.sign ~rng clean ~msg:"m" in
+  let opens msg_label expected =
+    Alcotest.(check (option string)) (msg_label ^ ": revoked signer") None
+      (Kty.open_ mgr ~msg:"m" revoked_sig);
+    Alcotest.(check (option string)) (msg_label ^ ": unrevoked signer")
+      expected (Kty.open_ mgr ~msg:"m" clean_sig)
+  in
+  let updates = Hashtbl.create 12 in
+  let revoke uid =
+    match Kty.revoke ~rng mgr ~uid with
+    | Some (_, upd) -> Hashtbl.replace updates uid upd
+    | None -> Alcotest.fail "revoke"
+  in
+  revoke "signer";
+  opens "manager CRL of 1" (Some "clean");
+  List.iteri (fun i uid -> if i < 5 then revoke uid) others;
+  opens "manager CRL of 6" (Some "clean");
+  List.iteri (fun i uid -> if i >= 5 then revoke uid) others;
+  opens "manager CRL of 12" (Some "clean");
+  (* a verifier whose CRL lists [uids] in order: a CRL is newest first,
+     so the updates go in last to first *)
+  let with_crl uids =
+    List.fold_left
+      (fun mem uid -> Option.get (Kty.apply_update mem (Hashtbl.find updates uid)))
+      verifier (List.rev uids)
+  in
+  for len = 1 to 12 do
+    let decoys = List.filteri (fun i _ -> i < len - 1) others in
+    List.iter
+      (fun pos ->
+        let uids =
+          List.filteri (fun i _ -> i < pos) decoys
+          @ ("signer" :: List.filteri (fun i _ -> i >= pos) decoys)
+        in
+        let v = with_crl uids in
+        let label = Printf.sprintf "|CRL| = %d, revoked at %d" len pos in
+        Alcotest.(check int) (label ^ ": length") len (Kty.crl_length v);
+        Alcotest.(check bool) (label ^ ": revoked rejected") false
+          (Kty.verify v ~msg:"m" revoked_sig);
+        Alcotest.(check bool) (label ^ ": unrevoked accepted") true
+          (Kty.verify v ~msg:"m" clean_sig))
+      (List.sort_uniq compare [ 0; len / 2; len - 1 ])
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Production-size parameters: one full cycle at 1024 bits             *)
 (* ------------------------------------------------------------------ *)
 
@@ -385,6 +453,8 @@ let () =
         [ Alcotest.test_case "tracing tokens" `Slow test_kty_tracing_tokens;
           Alcotest.test_case "common base" `Slow test_kty_common_base;
           Alcotest.test_case "base_of_bytes" `Quick test_kty_base_of_bytes;
+          Alcotest.test_case "revoked signer anywhere in CRLs of 1-12" `Slow
+            test_kty_crl_positions;
         ] );
       ( "scaling",
         [ Alcotest.test_case "1024-bit full cycle" `Slow test_1024_bit_cycle ] );

@@ -87,6 +87,33 @@ let test_histogram_percentiles () =
   Alcotest.(check bool) "nonpos kept in range" true
     (s.Obs.p50 >= -5.0 && s.Obs.p99 <= 40.0 && s.Obs.p50 <= s.Obs.p99)
 
+(* a span tree allocates the same whatever its timings: the latency
+   histograms it feeds must not allocate per bucket hit, or a profiled
+   run's allocation (e13's prof.alloc.minor_words) follows the speed
+   of the host it ran on *)
+let test_span_alloc_independent_of_timing () =
+  let run growth =
+    reset_all ();
+    Obs.set_sink Obs.Memory;
+    let t = ref 0.0 and d = ref 1e-6 in
+    Obs.set_clock (fun () ->
+        t := !t +. !d;
+        d := !d *. growth;
+        !t);
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 20 do
+      Obs.span "test.obs.alloc.outer" (fun () ->
+          Obs.span "test.obs.alloc.inner" (fun () -> ()))
+    done;
+    let words = Gc.minor_words () -. w0 in
+    reset_all ();
+    words
+  in
+  (* the first run creates the two span histograms *)
+  ignore (run 1.0);
+  Alcotest.(check (float 0.0)) "same minor words, one bucket or forty"
+    (run 1.0) (run 2.0)
+
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -653,6 +680,8 @@ let () =
         [ Alcotest.test_case "math" `Quick test_histogram_math;
           Alcotest.test_case "empty omitted" `Quick test_histogram_empty_omitted;
           Alcotest.test_case "percentiles" `Quick test_histogram_percentiles;
+          Alcotest.test_case "span allocation independent of timing" `Quick
+            test_span_alloc_independent_of_timing;
         ] );
       ( "spans",
         [ Alcotest.test_case "noop sink" `Quick test_noop_sink;
