@@ -1,0 +1,205 @@
+(* Pins of what [Gcd.run_session] produces for fixed seeds: every seat's
+   termination, partners and session-key digest, the session network's
+   accounting, the watchdog's counters, and the SHA-256 of one exported
+   event timeline.  The values were recorded from the seeded runs below;
+   a change to how a session is driven (resend rule, delivery service
+   order, straggler handling, watchdog event tracks) moves at least one
+   of them.  Like test_golden and test_hash, these tests pin recorded
+   values: a deliberate behaviour change re-records them. *)
+
+module W = World.Make (Scheme_sig.Scheme1)
+
+let uids m = List.init m (Printf.sprintf "p%d")
+
+(* each case builds its own world, so a pin does not depend on which
+   other cases ran first (member DRBGs advance with every handshake) *)
+let fresh_world ~seed m =
+  let w = W.create seed in
+  ignore (W.populate w (uids m));
+  w
+
+let watched = [ "gcd.retransmissions"; "gcd.timeouts"; "gcd.rejected.stale" ]
+let counter name = Obs.value (Obs.counter name)
+
+let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+(* one line per seat, then the network accounting, then the deltas of
+   the watchdog and straggler counters over the run *)
+let render run =
+  let before = List.map counter watched in
+  let r : Gcd_types.session_result = run () in
+  let seat i = function
+    | None -> Printf.sprintf "seat %d none" i
+    | Some (o : Gcd_types.outcome) ->
+      Printf.sprintf "seat %d %s [%s] %s" i
+        (Gcd_types.string_of_termination o.Gcd_types.termination)
+        (String.concat "," (List.map string_of_int o.Gcd_types.partners))
+        (match o.Gcd_types.session_key with
+         | None -> "nokey"
+         | Some k -> Sha256.hex (Sha256.digest k))
+  in
+  let st = r.Gcd_types.stats in
+  String.concat "\n"
+    (Array.to_list (Array.mapi seat r.Gcd_types.outcomes)
+    @ [ Printf.sprintf "deliveries %d dropped %d duplicated %d"
+          st.Engine.deliveries st.Engine.dropped st.Engine.duplicated;
+        "messages " ^ ints st.Engine.messages_sent;
+        "bytes " ^ ints st.Engine.bytes_sent;
+        String.concat " "
+          (List.map2
+             (fun name b -> Printf.sprintf "%s +%d" name (counter name - b))
+             watched before);
+      ])
+
+(* ---- recorded values ----------------------------------------------- *)
+
+let lossy_m4_seed1 =
+  {|seat 0 complete [0,1,2,3] d1d4e3f0c7133a181a19f031351ede7cac551b1fe54f569e89d25c3e94a4014e
+seat 1 partial [0,1,3] b1b3344cd4af6f00717a2c03024087a4725e263eddcd69231a7ac0e9f444a3d0
+seat 2 complete [0,1,2,3] d1d4e3f0c7133a181a19f031351ede7cac551b1fe54f569e89d25c3e94a4014e
+seat 3 complete [0,1,2,3] d1d4e3f0c7133a181a19f031351ede7cac551b1fe54f569e89d25c3e94a4014e
+deliveries 85 dropped 20 duplicated 9
+messages 8,9,9,6
+bytes 1675,1750,1750,1557
+gcd.retransmissions +16 gcd.timeouts +1 gcd.rejected.stale +0|}
+
+let lossy_m4_seed2 =
+  {|seat 0 complete [0,1,2,3] e776072d769d76f73a605e6087a2c46904678815a2d18fa3abd9b17fd6a67208
+seat 1 complete [0,1,2,3] e776072d769d76f73a605e6087a2c46904678815a2d18fa3abd9b17fd6a67208
+seat 2 complete [0,1,2,3] e776072d769d76f73a605e6087a2c46904678815a2d18fa3abd9b17fd6a67208
+seat 3 complete [0,1,2,3] e776072d769d76f73a605e6087a2c46904678815a2d18fa3abd9b17fd6a67208
+deliveries 114 dropped 18 duplicated 12
+messages 9,11,9,11
+bytes 3996,5317,5199,4178
+gcd.retransmissions +24 gcd.timeouts +1 gcd.rejected.stale +10|}
+
+let lossy_m8_seed1 =
+  {|seat 0 partial [0,1,2,4,5,6,7] ddd10a32b390b59dbab08e37811ea62b49af83c7452ba5c4eb921261e6b3d5ec
+seat 1 complete [0,1,2,3,4,5,6,7] ec07d7aa9b34d15da06ded87af33cea9e23966f4aedd905c3384e0b6417d22ee
+seat 2 complete [0,1,2,3,4,5,6,7] ec07d7aa9b34d15da06ded87af33cea9e23966f4aedd905c3384e0b6417d22ee
+seat 3 complete [0,1,2,3,4,5,6,7] ec07d7aa9b34d15da06ded87af33cea9e23966f4aedd905c3384e0b6417d22ee
+seat 4 complete [0,1,2,3,4,5,6,7] ec07d7aa9b34d15da06ded87af33cea9e23966f4aedd905c3384e0b6417d22ee
+seat 5 complete [0,1,2,3,4,5,6,7] ec07d7aa9b34d15da06ded87af33cea9e23966f4aedd905c3384e0b6417d22ee
+seat 6 complete [0,1,2,3,4,5,6,7] ec07d7aa9b34d15da06ded87af33cea9e23966f4aedd905c3384e0b6417d22ee
+seat 7 complete [0,1,2,3,4,5,6,7] ec07d7aa9b34d15da06ded87af33cea9e23966f4aedd905c3384e0b6417d22ee
+deliveries 648 dropped 142 duplicated 69
+messages 11,11,13,14,14,12,14,14
+bytes 3007,5317,4264,4339,4339,3050,4339,4339
+gcd.retransmissions +71 gcd.timeouts +1 gcd.rejected.stale +18|}
+
+let lossy_m8_seed2 =
+  {|seat 0 complete [0,1,2,3,4,5,6,7] 16d7a0e7041a686e64aef1101b19337a92b1588664302dd6c3773f2fd57023ff
+seat 1 complete [0,1,2,3,4,5,6,7] 16d7a0e7041a686e64aef1101b19337a92b1588664302dd6c3773f2fd57023ff
+seat 2 complete [0,1,2,3,4,5,6,7] 16d7a0e7041a686e64aef1101b19337a92b1588664302dd6c3773f2fd57023ff
+seat 3 complete [0,1,2,3,4,5,6,7] 16d7a0e7041a686e64aef1101b19337a92b1588664302dd6c3773f2fd57023ff
+seat 4 complete [0,1,2,3,4,5,6,7] 16d7a0e7041a686e64aef1101b19337a92b1588664302dd6c3773f2fd57023ff
+seat 5 complete [0,1,2,3,4,5,6,7] 16d7a0e7041a686e64aef1101b19337a92b1588664302dd6c3773f2fd57023ff
+seat 6 partial [1,2,3,5,6,7] 7c3529d64ec8f1b990b4966f87d5e22f5643d5f60c1d37717cd0fce759b9ffd1
+seat 7 complete [0,1,2,3,4,5,6,7] 16d7a0e7041a686e64aef1101b19337a92b1588664302dd6c3773f2fd57023ff
+deliveries 568 dropped 111 duplicated 63
+messages 9,12,10,8,12,9,14,14
+bytes 1750,3082,2964,1675,1943,2889,5510,5510
+gcd.retransmissions +56 gcd.timeouts +1 gcd.rejected.stale +39|}
+
+let crash_stop =
+  {|seat 0 partial [0,1,2] 286ef82d2dfde6ea23bd894b0e04e64ec86eae716402121eb1e4dd77385b6f46
+seat 1 partial [0,1,2] 286ef82d2dfde6ea23bd894b0e04e64ec86eae716402121eb1e4dd77385b6f46
+seat 2 partial [0,1,2] 286ef82d2dfde6ea23bd894b0e04e64ec86eae716402121eb1e4dd77385b6f46
+seat 3 aborted [3] nokey
+deliveries 75 dropped 24 duplicated 0
+messages 10,10,10,3
+bytes 5178,5178,5178,193
+gcd.retransmissions +18 gcd.timeouts +5 gcd.rejected.stale +0|}
+
+let byzantine_seat =
+  {|seat 0 partial [0,1,2] 9b2f3d26bf61b97253dc128053c6171bad5447cc461887a10f963a4cd806a131
+seat 1 partial [0,1,2] 9b2f3d26bf61b97253dc128053c6171bad5447cc461887a10f963a4cd806a131
+seat 2 partial [0,1,2] 9b2f3d26bf61b97253dc128053c6171bad5447cc461887a10f963a4cd806a131
+seat 3 complete [0,1,2,3] 9a398bc241fb735941eb12cf9909d1e191fa942dcaf4c9871bc437b160be1bed
+deliveries 93 dropped 0 duplicated 0
+messages 6,10,9,6
+bytes 2664,7520,7477,2664
+gcd.retransmissions +15 gcd.timeouts +2 gcd.rejected.stale +18|}
+
+let duplicating_channel =
+  {|seat 0 complete [0,1,2,3] bef155db2d9af9ec6a38038cf6b4d456b1e849f96e7fff822fdb06a8d4396650
+seat 1 complete [0,1,2,3] bef155db2d9af9ec6a38038cf6b4d456b1e849f96e7fff822fdb06a8d4396650
+seat 2 complete [0,1,2,3] bef155db2d9af9ec6a38038cf6b4d456b1e849f96e7fff822fdb06a8d4396650
+seat 3 complete [0,1,2,3] bef155db2d9af9ec6a38038cf6b4d456b1e849f96e7fff822fdb06a8d4396650
+deliveries 96 dropped 0 duplicated 48
+messages 4,4,4,4
+bytes 1407,1407,1407,1407
+gcd.retransmissions +0 gcd.timeouts +0 gcd.rejected.stale +10|}
+
+let trace_sha256 =
+  "cce1be539f3313a71a846027d7edd8ec1b9d810fc2c916e184a76e81b2ca9ad6"
+
+let lossy w ~m ~seed () =
+  let faults = Faults.create ~drop:0.2 ~duplicate:0.1 ~jitter:0.3 ~seed () in
+  W.handshake ~faults ~watchdog:Gcd_types.default_watchdog w (uids m)
+
+let pin label expected actual = Alcotest.(check string) label expected actual
+
+let test_lossy_m4 () =
+  let w = fresh_world ~seed:1901 4 in
+  pin "m=4 seed 1" lossy_m4_seed1 (render (lossy w ~m:4 ~seed:1));
+  pin "m=4 seed 2" lossy_m4_seed2 (render (lossy w ~m:4 ~seed:2))
+
+let test_lossy_m8 () =
+  let w = fresh_world ~seed:1902 8 in
+  pin "m=8 seed 1" lossy_m8_seed1 (render (lossy w ~m:8 ~seed:1));
+  pin "m=8 seed 2" lossy_m8_seed2 (render (lossy w ~m:8 ~seed:2))
+
+let test_crash_stop () =
+  (* seat 3 crash-stops at sim-time 2.5, after its Phase I broadcast *)
+  let w = fresh_world ~seed:1903 4 in
+  let faults = Faults.create ~crashes:[ (3, 2.5) ] ~seed:5 () in
+  pin "crash-stop" crash_stop
+    (render (fun () ->
+         W.handshake ~faults ~watchdog:Gcd_types.default_watchdog w (uids 4)))
+
+let test_byzantine_seat () =
+  let w = fresh_world ~seed:1904 4 in
+  let adversary =
+    Adversary.tap (Fuzz.byzantine_adversary ~byz:3 ~seed:1905)
+  in
+  pin "byzantine seat" byzantine_seat
+    (render (fun () ->
+         W.handshake ~adversary ~watchdog:Gcd_types.byzantine_watchdog w
+           (uids 4)))
+
+let test_duplicating_channel () =
+  (* every copy is duplicated with jitter, so late copies of the last
+     messages reach their seats after the session has ended *)
+  let w = fresh_world ~seed:1907 4 in
+  let faults = Faults.create ~duplicate:1.0 ~jitter:0.3 ~seed:1 () in
+  pin "duplicating channel" duplicating_channel
+    (render (fun () ->
+         W.handshake ~faults ~watchdog:Gcd_types.default_watchdog w (uids 4)))
+
+let test_trace_digest () =
+  let w = fresh_world ~seed:1906 4 in
+  (* events go on after the world is built, so the log holds the
+     session alone, stamped by the session's sim clock *)
+  Obs.reset ();
+  Obs.set_events true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_events false)
+    (fun () ->
+      ignore (lossy w ~m:4 ~seed:3 ());
+      pin "chrome trace sha256" trace_sha256
+        (Sha256.hex
+           (Sha256.digest (Obs_json.to_string (Obs.to_chrome_trace ())))))
+
+let () =
+  Alcotest.run "driver"
+    [ ( "pins",
+        [ Alcotest.test_case "lossy m=4" `Quick test_lossy_m4;
+          Alcotest.test_case "lossy m=8" `Quick test_lossy_m8;
+          Alcotest.test_case "crash-stop" `Quick test_crash_stop;
+          Alcotest.test_case "byzantine seat" `Quick test_byzantine_seat;
+          Alcotest.test_case "duplicating channel" `Quick
+            test_duplicating_channel;
+          Alcotest.test_case "event timeline digest" `Quick test_trace_digest;
+        ] );
+    ]
