@@ -268,7 +268,9 @@ let run ?world:prebuilt ?fault_scope ?attack_scope cfg =
          incr completed;
          latencies :=
            (r.Shs_engine.r_finished -. r.Shs_engine.r_admitted) :: !latencies
-       | Shs_engine.Shed -> incr shed
+       (* every swarm session arms a watchdog, so none can stall; a
+          stall would count with the sessions the engine had to end *)
+       | Shs_engine.Shed | Shs_engine.Stalled -> incr shed
        | Shs_engine.Poisoned -> incr poisoned);
       if fully then incr full;
       if fault_scope r.Shs_engine.r_sid || attack_scope r.Shs_engine.r_sid then

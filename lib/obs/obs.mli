@@ -169,7 +169,7 @@ val events_enabled : unit -> bool
 
 val set_event_clock : (unit -> float) -> unit
 (** Time source for event stamps.  Defaults to following the span
-    clock; [Gcd.run_session] installs the simulation clock so event
+    clock; [Shs_engine.create] installs its scheduler's clock so event
     timelines are in deterministic sim time. *)
 
 val set_track : string -> unit

@@ -228,6 +228,72 @@ let test_poisoned_isolation () =
   Alcotest.(check int) "nothing live" 0 (Shs_engine.live engine);
   check_drained ()
 
+(* A bad watchdog policy is refused before admission: no session, no
+   counter and no gauge may be left behind by the refused call. *)
+let test_bad_policy_leaves_nothing () =
+  let engine = Shs_engine.create () in
+  let ga, members = Lazy.force world in
+  let fmt = Scheme1.default_format ga in
+  let driver () =
+    Scheme1.engine_driver ~fmt
+      (Array.init 3 (fun seat ->
+           { Scheme1.p_role = Scheme1.Member_of members.(seat);
+             p_rng = Drbg.bytes_fn (Drbg.of_int_seed (9200 + seat));
+           }))
+  in
+  let admitted = counter "engine.admitted" in
+  let gauges = Obs.snapshot_gauges () in
+  let wd = { Gcd_types.default_watchdog with Gcd_types.backoff = 0.5 } in
+  Alcotest.check_raises "policy refused"
+    (Invalid_argument "Shs_engine.submit: bad watchdog policy") (fun () ->
+      ignore (Shs_engine.submit engine ~watchdog:wd driver));
+  Alcotest.(check int) "nothing live" 0 (Shs_engine.live engine);
+  Alcotest.(check int) "nothing admitted" admitted (counter "engine.admitted");
+  Alcotest.(check (list (pair string int))) "every gauge unchanged" gauges
+    (Obs.snapshot_gauges ());
+  Shs_engine.run engine;
+  Alcotest.(check int) "no report" 0 (List.length (Shs_engine.reports engine))
+
+(* Without a watchdog and with an infinite deadline nothing can wake a
+   session whose messages are all lost: it is reaped as [Stalled] when
+   the scheduler drains, its seats as they stood, and [run_session]
+   returns those seats without an outcome. *)
+let test_stalled_reaped () =
+  let ga, members = Lazy.force world in
+  let fmt = Scheme1.default_format ga in
+  let seats () =
+    Array.init 3 (fun seat ->
+        { Scheme1.p_role = Scheme1.Member_of members.(seat);
+          p_rng = Drbg.bytes_fn (Drbg.of_int_seed (9300 + seat));
+        })
+  in
+  let drop_all ~src:_ ~dst:_ ~payload:_ = Engine.Drop in
+  let engine =
+    Shs_engine.create
+      ~config:
+        { Shs_engine.default_config with
+          Shs_engine.watchdog = None;
+          deadline = Float.infinity;
+        }
+      ()
+  in
+  ignore
+    (Shs_engine.submit engine ~adversary:drop_all (fun () ->
+         Scheme1.engine_driver ~fmt (seats ())));
+  Shs_engine.run engine;
+  (match Shs_engine.reports engine with
+   | [ r ] ->
+     Alcotest.(check string) "stalled" "stalled"
+       (Shs_engine.string_of_disposition r.Shs_engine.r_disposition);
+     Alcotest.(check bool) "no seat terminated" true
+       (Array.for_all Option.is_none r.Shs_engine.r_outcomes)
+   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs));
+  Alcotest.(check int) "nothing live" 0 (Shs_engine.live engine);
+  let r = Scheme1.run_session ~adversary:drop_all ~fmt (seats ()) in
+  Alcotest.(check bool) "run_session: no outcomes" true
+    (Array.for_all Option.is_none r.Gcd_types.outcomes);
+  check_drained ()
+
 let test_retx_bounds () =
   let before_evicted = counter "gcd.retx_evicted" in
   let before_bytes = gauge "gcd.retx_buffer_bytes" in
@@ -271,6 +337,10 @@ let () =
           Alcotest.test_case "inbox backpressure" `Quick test_backpressure;
           Alcotest.test_case "poisoned-session isolation" `Quick
             test_poisoned_isolation;
+          Alcotest.test_case "bad policy leaves nothing" `Quick
+            test_bad_policy_leaves_nothing;
+          Alcotest.test_case "stalled session reaped" `Quick
+            test_stalled_reaped;
         ] );
       ( "retx",
         [ Alcotest.test_case "bounded retransmission buffer" `Quick
