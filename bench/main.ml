@@ -989,7 +989,8 @@ let e11 () =
   let seen = ref 0 in
   List.iter
     (fun seed ->
-      ignore (Fixtures.s1_chaos_handshake ~m ~seed ~drop ());
+      let r = Fixtures.s1_chaos_handshake ~m ~seed ~drop () in
+      durations := r.Gcd_types.duration :: !durations;
       (* this session's suffix of the shared event log *)
       let evs =
         let all = Obs.events () in
@@ -999,7 +1000,6 @@ let e11 () =
         suffix
       in
       let sends : (int, float) Hashtbl.t = Hashtbl.create 64 in
-      let hs_begin = ref 0.0 in
       List.iter
         (fun (e : Obs.event) ->
           match e.Obs.ev_kind with
@@ -1008,10 +1008,6 @@ let e11 () =
             (match Hashtbl.find_opt sends e.Obs.ev_id with
              | Some t0 -> flow_lat := (e.Obs.ev_ts -. t0) :: !flow_lat
              | None -> ())
-          | Obs.Span_begin when e.Obs.ev_name = "gcd.handshake" ->
-            hs_begin := e.Obs.ev_ts
-          | Obs.Span_end when e.Obs.ev_name = "gcd.handshake" ->
-            durations := (e.Obs.ev_ts -. !hs_begin) :: !durations
           | _ -> ())
         evs;
       (* phase completion: the last end of that span per party track *)

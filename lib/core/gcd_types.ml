@@ -74,7 +74,11 @@ let byzantine_watchdog = { default_watchdog with phase_grace = 1 }
 type session_result = {
   outcomes : outcome option array;
   stats : Engine.stats;
-  duration : float;  (** simulated time consumed by the session *)
+  duration : float;
+      (** sim time from the session's start to the moment its last seat
+          terminated (the engine report's [r_finished -. r_admitted]);
+          watchdog ticks and straggler deliveries that fire after that
+          are not counted *)
 }
 
 (** A scheme-erased handle on one session's party state machines,
