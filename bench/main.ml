@@ -621,9 +621,9 @@ let e6 () =
     (run_bechamel ~scale:2.0 ~limit:12 tests);
   (* revocation cost: direct measurement (destructive operations) *)
   let time_once f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.default_clock () in
     f ();
-    Unix.gettimeofday () -. t0
+    (Obs.default_clock () -. t0) /. 1e9
   in
   let acjt_revoke =
     time_once (fun () ->
@@ -1212,9 +1212,9 @@ let e13 () =
     for _ = 1 to 200 do ignore (mul a b) done
   in
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.default_clock () in
     f ();
-    Unix.gettimeofday () -. t0
+    (Obs.default_clock () -. t0) /. 1e9
   in
   (* pair the two arms inside each round and take the min of the
      per-round ratios: scheduler noise and frequency drift only ever add
@@ -1336,9 +1336,9 @@ let e15 () =
   let base = { Swarm.default with Swarm.world_seed = 1500 } in
   let add series unit_ v = Report.add ~experiment:"e15" ~series ~unit_ v in
   let wall f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.default_clock () in
     let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+    (r, (Obs.default_clock () -. t0) /. 1e9)
   in
 
   (* -- baseline: >= 1000 clean sessions, run twice, byte-identical -- *)
@@ -1463,7 +1463,7 @@ let () =
      sink so the timed series pay no tracing overhead *)
   let arm_sink () = if !json_path <> None then Obs.set_sink Obs.Memory in
   arm_sink ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.default_clock () in
   Printf.printf
     "secret-handshakes benchmark harness (pure-OCaml substrate)\n\
      parameters: 512-bit RSA modulus / 512-bit Schnorr group unless noted\n%!";
@@ -1479,7 +1479,7 @@ let () =
         arm_sink ()
       end)
     experiments;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = (Obs.default_clock () -. t0) /. 1e9 in
   Printf.printf "\ntotal bench wall-clock: %.1fs\n" elapsed;
   let doc = lazy (Report.to_json ~elapsed_s:elapsed ()) in
   (match !json_path with

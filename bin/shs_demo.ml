@@ -133,14 +133,14 @@ let run_handshake scheme m outsiders clone revoke_last seed verbose metrics
     Prof.reset ();
     Prof.enable ()
   end;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.default_clock () in
   let adversary = Option.map Adversary.tap adv_plan in
   let r =
     if scheme = 2 then
       Scheme2.run_session_sd ?faults ?watchdog ?adversary ~gpub ~fmt parts
     else Scheme2.run_session ?faults ?watchdog ?adversary ~fmt parts
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = (Obs.default_clock () -. t0) /. 1e9 in
   if metrics then Prof.disable ();
   Array.iteri
     (fun i o ->

@@ -1,195 +1,51 @@
 (* shs_lint: driver for the repo's domain-specific static analysis
    (lib/lint, DESIGN.md §9).
 
-   Scans every .ml under --root, runs the crypto-hygiene and determinism
-   rule catalogue, subtracts inline [@shs.lint_ignore] suppressions and
-   the checked-in baseline, and exits
+   Loads the .cmt Typedtrees of every .ml under lib/, bin/ and bench/
+   from --root/_build/default, runs the rule catalogue over them
+   (cross-module secret taint, decode totality, ambient entropy, error
+   taxonomy), subtracts inline [@shs.lint_ignore] suppressions, and
+   exits
 
      0  no actionable findings
      1  at least one actionable finding (the CI gate)
-     2  usage error, malformed baseline, missing build artifacts, or a
-        file that failed to parse
-
-   With --typed the whole-program pass also runs: it loads the .cmt
-   Typedtrees from --root/_build/default, builds the cross-module call
-   graph and the secret-taint dataflow, and reports NO-POLY-COMPARE,
-   NO-SECRET-PRINT (v2), NO-PLAINTEXT-WIRE and cross-module TOTAL-DECODE
-   with source→sink path witnesses; the untyped rules those supersede
-   (CT-EQ, TOTAL-DECODE, NO-SECRET-PRINT) are dropped from the run.
+     2  a source under lib/, bin/ or bench/ has no .cmt (build with
+        `dune build @check` first), or there is nothing to lint
 
    Typical invocations:
 
-     dune exec bin/shs_lint.exe                      # untyped, human report
-     dune exec bin/shs_lint.exe -- --typed --json    # full two-phase run
-     dune exec bin/shs_lint.exe -- --update-baseline # re-bless legacy findings
-     dune exec bin/shs_lint.exe -- --migrate-baseline # baseline v1 → v2 *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> In_channel.input_all ic)
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
-
-(* TAXONOMY suppression: these Error strings are cmdliner usage
-   diagnostics for a human at a terminal (exit 2), not protocol error
-   taxonomy — the linter's own driver is out of taxonomy scope. *)
-let[@shs.lint_ignore "TAXONOMY"] resolve_rules ~typed csv =
-  let base =
-    if typed then
-      List.filter
-        (fun (r : Lint_types.rule) ->
-          not (List.mem r.id Lint_typed_rules.superseded))
-        Lint_rules.all
-    else Lint_rules.all
-  in
-  match csv with
-  | None -> Ok base
-  | Some csv ->
-    let ids =
-      List.filter_map
-        (fun s ->
-          let s = String.trim s in
-          if String.equal s "" then None else Some s)
-        (String.split_on_char ',' csv)
-    in
-    let missing = List.filter (fun id -> Lint_rules.find id = None) ids in
-    if missing <> [] then
-      Error (Printf.sprintf "unknown rule(s): %s" (String.concat ", " missing))
-    else
-      Ok
-        (List.filter (fun (r : Lint_types.rule) -> List.mem r.id ids) base)
+     dune build @lint                                 # the CI gate
+     dune exec bin/shs_lint.exe -- --json             # shs-lint/3 report
+     dune exec bin/shs_lint.exe -- --list-rules *)
 
 let print_rule_catalogue () =
-  let print (i : Lint_types.rule_info) =
-    Printf.printf "%-20s %-8s %-7s %s\n" i.ri_id i.ri_pass
-      (Lint_types.severity_to_string i.ri_severity)
-      i.ri_doc
-  in
-  List.iter print (List.map Lint_types.info_of_rule Lint_rules.all);
-  List.iter print Lint_typed_rules.catalogue;
-  print_endline
-    "\ntyped rules need .cmt artifacts (dune build) and run under --typed, \
-     which supersedes CT-EQ, TOTAL-DECODE and NO-SECRET-PRINT."
+  List.iter
+    (fun (i : Lint_types.rule_info) -> Printf.printf "%-20s %s\n" i.ri_id i.ri_doc)
+    Lint_typed_rules.catalogue
 
-(* The typed pass, or the reason it cannot run.  TAXONOMY suppression:
-   usage diagnostic, same rationale as resolve_rules. *)
-let[@shs.lint_ignore "TAXONOMY"] typed_findings root =
-  match Lint_tast.load_units root with
-  | [] ->
-    Error
-      (Printf.sprintf
-         "no lib/ .cmt artifacts found under %s — run `dune build` before \
-          `shs_lint --typed`"
-         (Filename.concat root "_build/default"))
-  | units -> Ok (Lint_typed_rules.run (Lint_tast.index units))
-
-let run root json baseline_path no_baseline update_baseline migrate_baseline
-    rules_csv list_rules typed quiet =
+let run root json list_rules quiet =
   if list_rules then begin
     print_rule_catalogue ();
     0
   end
   else
-    match resolve_rules ~typed rules_csv with
-    | Error msg ->
-      prerr_endline ("shs_lint: " ^ msg);
+    let units = Lint_tast.load_units root in
+    let covered = List.map (fun (u : Lint_tast.unit_info) -> u.u_path) units in
+    match Lint_engine.uncovered root ~covered with
+    | _ :: _ as missing ->
+      List.iter (fun f -> prerr_endline ("shs_lint: no .cmt for " ^ f)) missing;
+      prerr_endline "shs_lint: run `dune build @check` before linting";
       2
-    | Ok rules ->
-      let bpath =
-        match baseline_path with
-        | Some p -> p
-        | None -> Filename.concat root "LINT_BASELINE.json"
-      in
-      if migrate_baseline then begin
-        if not (Sys.file_exists bpath) then begin
-          prerr_endline ("shs_lint: no baseline at " ^ bpath);
-          2
-        end
-        else
-          match Lint_engine.baseline_of_string (read_file bpath) with
-          | None ->
-            prerr_endline ("shs_lint: malformed baseline " ^ bpath);
-            2
-          | Some entries ->
-            write_file bpath (Lint_engine.baseline_to_string entries);
-            Printf.printf "shs_lint: migrated %s to schema %s (%d entr%s)\n"
-              bpath Lint_engine.baseline_schema (List.length entries)
-              (if List.length entries = 1 then "y" else "ies");
-            0
-      end
-      else begin
-        let sources =
-          List.map (Lint_engine.read_source root) (Lint_engine.discover root)
-        in
-        let typed_result =
-          if typed then typed_findings root else Ok []
-        in
-        match typed_result with
-        | Error msg ->
-          prerr_endline ("shs_lint: " ^ msg);
-          2
-        | Ok typed_fs ->
-          if update_baseline then begin
-            let o = Lint_engine.lint ~rules ~typed:typed_fs sources in
-            match o.parse_failures with
-            | _ :: _ ->
-              List.iter
-                (fun (Lint_types.Parse_failure p) ->
-                  prerr_endline
-                    (Printf.sprintf "shs_lint: %s: parse failure: %s" p.pf_file
-                       p.pf_msg))
-                o.parse_failures;
-              2
-            | [] ->
-              let entries = Lint_engine.baseline_of_findings o.actionable in
-              write_file bpath (Lint_engine.baseline_to_string entries);
-              Printf.printf "shs_lint: wrote %d baseline entr%s to %s\n"
-                (List.length entries)
-                (if List.length entries = 1 then "y" else "ies")
-                bpath;
-              0
-          end
-          else begin
-            (* TAXONOMY suppression: usage diagnostic (exit 2). *)
-            let[@shs.lint_ignore "TAXONOMY"] baseline =
-              if no_baseline || not (Sys.file_exists bpath) then Ok []
-              else
-                match Lint_engine.baseline_of_string (read_file bpath) with
-                | Some b -> Ok b
-                | None ->
-                  Error
-                    (Printf.sprintf
-                       "malformed baseline %s (expected schema %s; try \
-                        --migrate-baseline)"
-                       bpath Lint_engine.baseline_schema)
-            in
-            match baseline with
-            | Error msg ->
-              prerr_endline ("shs_lint: " ^ msg);
-              2
-            | Ok baseline ->
-              let o = Lint_engine.lint ~rules ~typed:typed_fs ~baseline sources in
-              let rules_info =
-                List.map Lint_types.info_of_rule rules
-                @ (if typed then Lint_typed_rules.catalogue else [])
-              in
-              if json then
-                print_string
-                  (Obs_json.to_string ~pretty:true
-                     (Lint_engine.report_json ~rules:rules_info o)
-                  ^ "\n")
-              else print_string (Lint_engine.render_human ~quiet o);
-              if o.parse_failures <> [] then 2
-              else if o.actionable <> [] then 1
-              else 0
-          end
-      end
+    | [] when units = [] ->
+      prerr_endline ("shs_lint: no .ml under lib/, bin/ or bench/ of " ^ root);
+      2
+    | [] ->
+      let o = Lint_engine.lint units in
+      if json then
+        print_string
+          (Obs_json.to_string ~pretty:true (Lint_engine.report_json o) ^ "\n")
+      else print_string (Lint_engine.render_human ~quiet o);
+      if o.actionable <> [] then 1 else 0
 
 open Cmdliner
 
@@ -200,70 +56,20 @@ let root_t =
     & info [ "root" ] ~docv:"DIR" ~doc:"Repository root to lint (default: .).")
 
 let json_t =
-  Arg.(value & flag & info [ "json" ] ~doc:"Emit the shs-lint/2 JSON report.")
-
-let baseline_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "baseline" ] ~docv:"FILE"
-        ~doc:"Baseline file (default: \\$(b,ROOT)/LINT_BASELINE.json).")
-
-let no_baseline_t =
-  Arg.(
-    value & flag
-    & info [ "no-baseline" ] ~doc:"Ignore the baseline: report every finding.")
-
-let update_baseline_t =
-  Arg.(
-    value & flag
-    & info [ "update-baseline" ]
-        ~doc:
-          "Rewrite the baseline to bless every current non-suppressed \
-           finding, then exit 0.")
-
-let migrate_baseline_t =
-  Arg.(
-    value & flag
-    & info [ "migrate-baseline" ]
-        ~doc:
-          "One-shot conversion of the baseline file to the current \
-           shs-lint-baseline/2 schema (v1 entries become pass-agnostic), \
-           then exit 0.")
-
-let rules_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "rules" ] ~docv:"ID,ID"
-        ~doc:"Comma-separated untyped rule ids to run (default: all).")
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the shs-lint/3 JSON report.")
 
 let list_rules_t =
   Arg.(value & flag & info [ "list-rules" ] ~doc:"Print the rule catalogue.")
 
-let typed_t =
-  Arg.(
-    value & flag
-    & info [ "typed" ]
-        ~doc:
-          "Also run the whole-program typed pass over the .cmt artifacts: \
-           cross-module secret-taint (NO-POLY-COMPARE, NO-SECRET-PRINT, \
-           NO-PLAINTEXT-WIRE) and cross-module TOTAL-DECODE, superseding \
-           their untyped approximations.")
-
 let quiet_t =
   Arg.(
     value & flag
-    & info [ "quiet"; "q" ]
-        ~doc:"Omit baselined and suppressed findings from the human report.")
+    & info [ "quiet"; "q" ] ~doc:"Omit suppressed findings from the human report.")
 
 let main =
   Cmd.v
-    (Cmd.info "shs_lint" ~version:"2.0.0"
+    (Cmd.info "shs_lint" ~version:"3.0.0"
        ~doc:"Crypto-hygiene and determinism linter for the shs codebase")
-    Term.(
-      const run $ root_t $ json_t $ baseline_t $ no_baseline_t
-      $ update_baseline_t $ migrate_baseline_t $ rules_t $ list_rules_t
-      $ typed_t $ quiet_t)
+    Term.(const run $ root_t $ json_t $ list_rules_t $ quiet_t)
 
 let () = exit (Cmd.eval' main)

@@ -1,234 +1,74 @@
-(** Driving loop of [shs_lint]: file discovery, per-file rule dispatch,
-    the typed-pass merge, the suppression/baseline ledger, and both
-    renderings of the result (human lines and the ["shs-lint/2"] JSON
-    document).
-
-    The engine is deliberately pure over [source] values — the driver
-    reads files, tests feed fixture strings — so every code path here is
-    exercised by the unit suite without touching the filesystem.  The
-    typed pass, which needs build artifacts, hands its findings in
-    pre-computed through [lint ~typed]. *)
+(** The ledger of [shs_lint]: the coverage guard over the linted trees,
+    the split of findings into actionable and suppressed, and both
+    renderings of the result (human lines and the ["shs-lint/3"] JSON
+    document).  Everything but {!discover} is pure, so the unit suite
+    drives it with fixture programs typechecked in-process. *)
 
 open Lint_types
 
-type source = { path : string; code : string }
-(** [path] is relative to the lint root, '/'-separated: it is the name
-    rules scope on and the name findings report. *)
-
 (* ------------------------------------------------------------------ *)
-(* Baseline                                                            *)
+(* Coverage                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Baseline entries are line-number independent on purpose: an unrelated
-   edit that shifts a legacy finding must not wake the gate.  A finding
-   is accounted for by (rule, file, binding, construct), with [b_count]
-   allowing that many occurrences in that binding and [b_pass]
-   restricting the allowance to one analysis pass ("any" covers both —
-   the v1 schema's implicit behaviour). *)
-type baseline_entry = {
-  b_rule : string;
-  b_file : string;
-  b_binding : string;
-  b_construct : string;
-  b_count : int;
-  b_pass : string;  (** "untyped" | "typed" | "any" *)
-}
-
-type baseline = baseline_entry list
-
-let baseline_schema = "shs-lint-baseline/2"
-let baseline_schema_v1 = "shs-lint-baseline/1"
-
-let baseline_of_findings findings =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
-      let b = (f.rule, f.file, f.binding, f.construct, f.pass) in
-      Hashtbl.replace tbl b (1 + Option.value ~default:0 (Hashtbl.find_opt tbl b)))
-    findings;
-  Hashtbl.fold
-    (fun (b_rule, b_file, b_binding, b_construct, b_pass) b_count acc ->
-      { b_rule; b_file; b_binding; b_construct; b_count; b_pass } :: acc)
-    tbl []
+(* Every .ml under the linted trees of [root], as sorted root-relative
+   paths.  Directories whose name starts with '.' or '_' are skipped. *)
+let discover root =
+  let hidden name = String.equal name "" || name.[0] = '.' || name.[0] = '_' in
+  let rec walk rel acc =
+    let names = Sys.readdir (Filename.concat root rel) in
+    Array.sort compare names;
+    Array.fold_left
+      (fun acc name ->
+        let rel' = rel ^ "/" ^ name in
+        if hidden name then acc
+        else if Sys.is_directory (Filename.concat root rel') then walk rel' acc
+        else if Filename.check_suffix name ".ml" then rel' :: acc
+        else acc)
+      acc names
+  in
+  List.concat_map
+    (fun d ->
+      let dir = String.sub d 0 (String.length d - 1) in
+      if Sys.file_exists (Filename.concat root dir) then walk dir [] else [])
+    Lint_tast.linted_dirs
   |> List.sort compare
 
-let baseline_to_string entries =
-  Obs_json.to_string ~pretty:true
-    (Obs_json.Obj
-       [ ("schema", Obs_json.Str baseline_schema);
-         ( "entries",
-           Obs_json.List
-             (List.map
-                (fun e ->
-                  Obs_json.Obj
-                    [ ("rule", Obs_json.Str e.b_rule);
-                      ("file", Obs_json.Str e.b_file);
-                      ("binding", Obs_json.Str e.b_binding);
-                      ("construct", Obs_json.Str e.b_construct);
-                      ("count", Obs_json.Int e.b_count);
-                      ("pass", Obs_json.Str e.b_pass);
-                    ])
-                entries) );
-       ])
-  ^ "\n"
-
-(* Total: [None] on anything that is not a well-formed baseline
-   document.  Both schemas are accepted: v1 entries carry no "pass"
-   field and are read as pass-agnostic ("any"), which is exactly what
-   the one-shot [--migrate-baseline] conversion writes out. *)
-let baseline_of_string s =
-  let str = function Some (Obs_json.Str v) -> Some v | _ -> None in
-  let int = function Some (Obs_json.Int v) -> Some v | _ -> None in
-  match Obs_json.of_string s with
-  | None -> None
-  | Some doc ->
-    let schema = Option.value ~default:"" (str (Obs_json.member "schema" doc)) in
-    if
-      not
-        (String.equal schema baseline_schema
-        || String.equal schema baseline_schema_v1)
-    then None
-    else (
-      match Obs_json.member "entries" doc with
-      | Some (Obs_json.List items) ->
-        let entry item =
-          match
-            ( str (Obs_json.member "rule" item),
-              str (Obs_json.member "file" item),
-              str (Obs_json.member "binding" item),
-              str (Obs_json.member "construct" item),
-              int (Obs_json.member "count" item) )
-          with
-          | Some b_rule, Some b_file, Some b_binding, Some b_construct, Some b_count
-            when b_count > 0 ->
-            let b_pass =
-              match str (Obs_json.member "pass" item) with
-              | Some ("untyped" | "typed" | "any") as p -> p
-              | Some _ -> None
-              | None -> Some "any"
-            in
-            Option.map
-              (fun b_pass ->
-                { b_rule; b_file; b_binding; b_construct; b_count; b_pass })
-              b_pass
-          | _ -> None
-        in
-        let entries = List.map entry items in
-        if List.for_all Option.is_some entries then
-          Some (List.filter_map Fun.id entries)
-        else None
-      | _ -> None)
-
-let apply_baseline entries findings =
-  let allow = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let b = (e.b_rule, e.b_file, e.b_binding, e.b_construct, e.b_pass) in
-      Hashtbl.replace allow b
-        (e.b_count + Option.value ~default:0 (Hashtbl.find_opt allow b)))
-    entries;
-  let take b =
-    match Hashtbl.find_opt allow b with
-    | Some n when n > 0 ->
-      Hashtbl.replace allow b (n - 1);
-      true
-    | _ -> false
-  in
-  (* findings arrive sorted, so the allowance is consumed in source
-     order and the split is deterministic; a pass-specific entry is
-     consulted before a pass-agnostic one *)
-  List.partition_map
-    (fun f ->
-      if
-        take (f.rule, f.file, f.binding, f.construct, f.pass)
-        || take (f.rule, f.file, f.binding, f.construct, "any")
-      then Either.Right f
-      else Either.Left f)
-    findings
+(* The sources no loaded unit covers: a partial build must not shrink
+   the set of linted files without saying so. *)
+let uncovered root ~covered =
+  List.filter (fun f -> not (List.mem f covered)) (discover root)
 
 (* ------------------------------------------------------------------ *)
 (* Linting                                                             *)
 (* ------------------------------------------------------------------ *)
 
 type outcome = {
-  files_scanned : int;  (** files at least one rule applied to *)
-  actionable : finding list;  (** neither suppressed nor baselined; gates *)
-  baselined : finding list;
+  files_scanned : int;
+  actionable : finding list;  (** not suppressed; these fail the gate *)
   suppressed : finding list;
-  parse_failures : parse_failure list;
 }
 
-(* [typed] carries the whole-program pass's pre-computed findings
-   (Lint_typed_rules.run over the cmt program); they ride the same
-   suppression/baseline ledger as the per-file rules. *)
-let lint ?(rules = Lint_rules.all) ?(typed = []) ?(baseline = []) sources =
-  let parse_failures = ref [] in
-  let raw = ref [] in
-  let supp = ref [] in
-  let scanned = ref 0 in
-  List.iter
-    (fun s ->
-      match List.filter (fun r -> r.applies s.path) rules with
-      | [] -> ()
-      | applicable ->
-        incr scanned;
-        (match Lint_ast.parse ~file:s.path s.code with
-         | Error pf -> parse_failures := pf :: !parse_failures
-         | Ok ast ->
-           List.iter
-             (fun r ->
-               List.iter
-                 (fun (f, is_suppressed) ->
-                   if is_suppressed then supp := f :: !supp else raw := f :: !raw)
-                 (r.check ~file:s.path ast))
-             applicable))
-    sources;
-  List.iter
-    (fun (f, is_suppressed) ->
-      if is_suppressed then supp := f :: !supp else raw := f :: !raw)
-    typed;
-  let sorted l = List.sort compare_finding l in
-  let actionable, baselined = apply_baseline baseline (sorted !raw) in
-  { files_scanned = !scanned;
-    actionable;
-    baselined;
-    suppressed = sorted !supp;
-    parse_failures = List.rev !parse_failures;
+(* Sorted, one finding per site, rule and construct: a print of tainted
+   data under lib/ is both a flow finding and an emitter reference, and
+   the flow finding, which comes first and carries the witness, stays. *)
+let ordered findings =
+  let rec dedup = function
+    | a :: b :: rest when compare_finding a b = 0 -> dedup (a :: rest)
+    | a :: rest -> a :: dedup rest
+    | [] -> []
+  in
+  dedup (List.stable_sort compare_finding findings)
+
+let lint ?config units =
+  let actionable, suppressed =
+    List.partition_map
+      (fun (f, is_suppressed) -> if is_suppressed then Right f else Left f)
+      (Lint_typed_rules.run ?config units)
+  in
+  { files_scanned = List.length units;
+    actionable = ordered actionable;
+    suppressed = ordered suppressed;
   }
-
-(* ------------------------------------------------------------------ *)
-(* File discovery                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Every .ml under [root], as sorted root-relative paths.  Directories
-   whose name starts with '.' or '_' (.git, _build, _opam) are skipped;
-   which files actually get parsed is then the rules' [applies] call. *)
-let discover root =
-  let hidden name =
-    String.equal name "" || name.[0] = '.' || name.[0] = '_'
-  in
-  let rec walk rel acc =
-    let abs = if String.equal rel "" then root else Filename.concat root rel in
-    Array.fold_left
-      (fun acc name ->
-        if hidden name then acc
-        else
-          let rel' = if String.equal rel "" then name else rel ^ "/" ^ name in
-          if Sys.is_directory (Filename.concat root rel') then walk rel' acc
-          else if Filename.check_suffix name ".ml" then rel' :: acc
-          else acc)
-      acc
-      (let names = Sys.readdir abs in
-       Array.sort compare names;
-       names)
-  in
-  List.sort compare (walk "" [])
-
-let read_source root rel =
-  let ic = open_in_bin (Filename.concat root rel) in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> { path = rel; code = In_channel.input_all ic })
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -237,50 +77,32 @@ let read_source root rel =
 let finding_json f =
   Obs_json.Obj
     [ ("rule", Obs_json.Str f.rule);
-      ("severity", Obs_json.Str (severity_to_string f.severity));
       ("file", Obs_json.Str f.file);
       ("line", Obs_json.Int f.line);
       ("col", Obs_json.Int f.col);
       ("binding", Obs_json.Str f.binding);
       ("construct", Obs_json.Str f.construct);
       ("message", Obs_json.Str f.message);
-      ("pass", Obs_json.Str f.pass);
       ("path", Obs_json.List (List.map (fun s -> Obs_json.Str s) f.path));
     ]
 
-let report_json ?(rules = List.map info_of_rule Lint_rules.all) o =
+let report_json o =
   Obs_json.Obj
-    [ ("schema", Obs_json.Str "shs-lint/2");
+    [ ("schema", Obs_json.Str "shs-lint/3");
       ("files_scanned", Obs_json.Int o.files_scanned);
       ( "rules",
         Obs_json.List
           (List.map
              (fun r ->
                Obs_json.Obj
-                 [ ("id", Obs_json.Str r.ri_id);
-                   ("severity", Obs_json.Str (severity_to_string r.ri_severity));
-                   ("doc", Obs_json.Str r.ri_doc);
-                   ("pass", Obs_json.Str r.ri_pass);
-                 ])
-             rules) );
+                 [ ("id", Obs_json.Str r.ri_id); ("doc", Obs_json.Str r.ri_doc) ])
+             Lint_typed_rules.catalogue) );
       ("findings", Obs_json.List (List.map finding_json o.actionable));
-      ("baselined", Obs_json.List (List.map finding_json o.baselined));
       ("suppressed", Obs_json.List (List.map finding_json o.suppressed));
-      ( "parse_failures",
-        Obs_json.List
-          (List.map
-             (fun (Parse_failure p) ->
-               Obs_json.Obj
-                 [ ("file", Obs_json.Str p.pf_file);
-                   ("error", Obs_json.Str p.pf_msg);
-                 ])
-             o.parse_failures) );
       ( "summary",
         Obs_json.Obj
           [ ("actionable", Obs_json.Int (List.length o.actionable));
-            ("baselined", Obs_json.Int (List.length o.baselined));
             ("suppressed", Obs_json.Int (List.length o.suppressed));
-            ("parse_failures", Obs_json.Int (List.length o.parse_failures));
           ] );
     ]
 
@@ -296,22 +118,14 @@ let render_human ?(quiet = false) o =
   List.iter
     (fun f ->
       line (finding_line f);
-      (* typed findings carry their source→sink witness *)
+      (* flow findings carry their source→sink witness *)
       List.iter (fun s -> line ("    " ^ s)) f.path)
     o.actionable;
-  if not quiet then begin
-    List.iter (fun f -> line ("baselined: " ^ finding_line f)) o.baselined;
-    List.iter (fun f -> line ("suppressed: " ^ finding_line f)) o.suppressed
-  end;
-  List.iter
-    (fun (Parse_failure p) -> line (p.pf_file ^ ": parse failure: " ^ p.pf_msg))
-    o.parse_failures;
+  if not quiet then
+    List.iter (fun f -> line ("suppressed: " ^ finding_line f)) o.suppressed;
   line
-    (Printf.sprintf
-       "shs_lint: %d file(s) scanned, %d actionable, %d baselined, %d suppressed%s"
+    (Printf.sprintf "shs_lint: %d file(s) scanned, %d actionable, %d suppressed"
        o.files_scanned
        (List.length o.actionable)
-       (List.length o.baselined)
-       (List.length o.suppressed)
-       (match o.parse_failures with [] -> "" | l -> Printf.sprintf ", %d parse failure(s)" (List.length l)));
+       (List.length o.suppressed));
   Buffer.contents b

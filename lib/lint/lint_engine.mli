@@ -1,90 +1,43 @@
-(** Driving loop of [shs_lint]: file discovery, per-file rule dispatch,
-    the suppression/baseline ledger, and rendering.  Pure over [source]
-    values — only {!discover} and {!read_source} touch the
+(** The ledger of [shs_lint]: coverage guard, suppression split and
+    rendering.  Only {!discover} and {!uncovered} touch the
     filesystem. *)
 
-type source = { path : string; code : string }
-(** [path] is relative to the lint root, '/'-separated: it is the name
-    rules scope on and the name findings report. *)
+(** {1 Coverage} *)
 
-(** {1 Baseline} *)
+val discover : string -> string list
+(** Every [.ml] under [lib/], [bin/] and [bench/] of the root, as sorted
+    root-relative paths, skipping directories whose name starts with
+    ['.'] or ['_']. *)
 
-(** Line-number-independent allowance: up to [b_count] findings of
-    [b_rule] on [b_construct] inside [b_binding] of [b_file] are
-    "baselined" rather than actionable, so unrelated edits that shift
-    line numbers cannot wake the CI gate.  [b_pass] scopes the allowance
-    to one analysis pass; ["any"] (what v1 documents migrate to) covers
-    both. *)
-type baseline_entry = {
-  b_rule : string;
-  b_file : string;
-  b_binding : string;
-  b_construct : string;
-  b_count : int;
-  b_pass : string;  (** "untyped" | "typed" | "any" *)
-}
-
-type baseline = baseline_entry list
-
-val baseline_schema : string
-(** ["shs-lint-baseline/2"]. *)
-
-val baseline_schema_v1 : string
-(** ["shs-lint-baseline/1"] — still accepted by {!baseline_of_string};
-    [--migrate-baseline] rewrites such documents to the v2 schema. *)
-
-val baseline_of_findings : Lint_types.finding list -> baseline
-(** Bless the given findings: group and count them, sorted. *)
-
-val baseline_to_string : baseline -> string
-(** Serialize to the checked-in JSON document (trailing newline). *)
-
-val baseline_of_string : string -> baseline option
-(** Total parser; [None] on malformed documents, unknown schemas, or
-    non-positive counts.  Accepts both the v1 and v2 schemas — v1
-    entries come back with [b_pass = "any"]. *)
+val uncovered : string -> covered:string list -> string list
+(** [uncovered root ~covered] is {!discover}[ root] minus [covered]: the
+    sources no loaded [.cmt] unit stands for. *)
 
 (** {1 Linting} *)
 
 type outcome = {
-  files_scanned : int;  (** files at least one rule applied to *)
+  files_scanned : int;  (** units analysed *)
   actionable : Lint_types.finding list;
-      (** neither suppressed nor baselined — these gate CI *)
-  baselined : Lint_types.finding list;
+      (** not suppressed — any of these fails the gate *)
   suppressed : Lint_types.finding list;
-  parse_failures : Lint_types.parse_failure list;
 }
 
-val lint :
-  ?rules:Lint_types.rule list ->
-  ?typed:(Lint_types.finding * bool) list ->
-  ?baseline:baseline ->
-  source list ->
-  outcome
-(** Run [rules] (default {!Lint_rules.all}) over every source a rule
-    applies to, merging in [typed] — the whole-program pass's findings
-    ({!Lint_typed_rules.run}), each paired with its suppression flag.
-    Finding lists come back sorted by [Lint_types.compare_finding], and
-    the baseline allowance is consumed in that order, so equal inputs
+val lint : ?config:Lint_taint.config -> Lint_tast.unit_info list -> outcome
+(** Run every rule ({!Lint_typed_rules.run}, taint policy [config],
+    default the repo's) over the units.  Finding lists come back sorted
+    by [Lint_types.compare_finding] with one finding per site, rule and
+    construct (a flow finding wins, for its witness), so equal inputs
     yield byte-equal reports. *)
-
-val discover : string -> string list
-(** Every [.ml] under the root as sorted root-relative paths, skipping
-    directories whose name starts with ['.'] or ['_'] ([.git], [_build],
-    [_opam]). *)
-
-val read_source : string -> string -> source
-(** [read_source root rel] loads [root/rel] as the source named [rel]. *)
 
 (** {1 Rendering} *)
 
-val report_json : ?rules:Lint_types.rule_info list -> outcome -> Obs_json.t
-(** The deterministic ["shs-lint/2"] document; findings carry their
-    [pass] and (for typed findings) their source→sink [path] witness. *)
+val report_json : outcome -> Obs_json.t
+(** The deterministic ["shs-lint/3"] document; findings carry their
+    source→sink [path] witness where the rule has one. *)
 
 val finding_line : Lint_types.finding -> string
 (** ["file:line:col: [RULE] (binding) construct — message"]. *)
 
 val render_human : ?quiet:bool -> outcome -> string
-(** Human report; [quiet] omits baselined/suppressed lines.  Ends with a
-    one-line summary. *)
+(** Human report; [quiet] omits suppressed lines.  Ends with a one-line
+    summary. *)

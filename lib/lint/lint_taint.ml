@@ -1,9 +1,10 @@
 (** Interprocedural secret-taint dataflow over {!Lint_tast.program}.
 
     The abstract value of an expression is a {!taint}: [direct] when the
-    value definitely derives from a declared secret source, and [via k]
-    when it derives from the enclosing function's parameter [k] — each
-    carrying a frozen source→here witness.  Per-function {!summary}s
+    value definitely derives from a declared secret source,
+    [compare_only] when it derives from a MAC output, and [via k] when it
+    derives from the enclosing function's parameter [k] — each carrying
+    a frozen source→here witness.  Per-function {!summary}s
     (return taint + parameter-conditional sinks) are iterated to a
     fixpoint, so a key that enters module A, threads through a helper in
     C, and hits a sink in B is caught with the full path as evidence.
@@ -17,6 +18,9 @@
       and so does every call into [Bigint] whatever its summary says —
       modular arithmetic is the blinding boundary — while its
       byte/string conversions ([transparent_fns]) propagate;
+    - MAC outputs ([mac_sources]) are compare-only: a tag is public once
+      sent, so print and wire sinks ignore that class, but comparing it
+      in variable time still distinguishes a forgery's abort;
     - witnesses freeze at first discovery, which keeps the fixpoint
       monotone: a later, shorter path never replaces a recorded one. *)
 
@@ -26,19 +30,33 @@ type step = string  (** "file:line: what happened" *)
 
 type taint = {
   direct : step list option;  (** derives from a source, with witness *)
+  compare_only : step list option;
+      (** derives from a MAC output: public once sent, so only
+          NO-POLY-COMPARE answers to it *)
   via : step list SMap.t;  (** param key → witness from param to here *)
 }
 
-let bot = { direct = None; via = SMap.empty }
-let is_bot t = t.direct = None && SMap.is_empty t.via
+let bot = { direct = None; compare_only = None; via = SMap.empty }
+let is_bot t = t.direct = None && t.compare_only = None && SMap.is_empty t.via
+
+let first a b = match a with Some _ -> a | None -> b
 
 let join a b =
-  { direct = (match a.direct with Some _ -> a.direct | None -> b.direct);
+  { direct = first a.direct b.direct;
+    compare_only = first a.compare_only b.compare_only;
     via = SMap.union (fun _ w _ -> Some w) a.via b.via;
   }
 
+let source_taint step = { bot with direct = Some [ step ] }
+
+(* The witness a sink of [rule] fires on, if the value reaches it. *)
+let witness ~rule t =
+  if String.equal rule "NO-POLY-COMPARE" then first t.direct t.compare_only
+  else t.direct
+
 (* Shape only — witnesses are frozen, so growth is key growth. *)
-let taint_shape t = (t.direct <> None, List.map fst (SMap.bindings t.via))
+let taint_shape t =
+  (t.direct <> None, t.compare_only <> None, List.map fst (SMap.bindings t.via))
 
 (* A sink that fires iff the given parameter arrives tainted: lifted
    into the function's summary so callers test it against their own
@@ -87,6 +105,8 @@ type config = {
       (** qualified functions whose result is secret, matched against
           every name a call site can answer to ({!Lint_tast.names_of}),
           so [C.group_key] through a functor parameter still counts *)
+  mac_sources : string list;
+      (** functions whose result is a MAC tag: compare-only taint *)
   secret_fields : (string * string) list;
       (** (record type's last name, field label) pairs whose projection
           is secret *)
@@ -124,8 +144,7 @@ type ctx = {
   cur_binding : string;
 }
 
-let suppressed ctx rule =
-  List.exists (fun l -> List.mem rule l || List.mem "all" l) ctx.supp_stack
+let suppressed ctx rule = Lint_tast.is_suppressed ctx.supp_stack rule
 
 let mod_head name =
   match String.index_opt name '.' with
@@ -229,7 +248,7 @@ let add_cond_sink ctx c =
 let sink_hit ctx ~rule ~construct ~site ~supp t =
   let line, col = Lint_tast.loc_of site in
   let here = Printf.sprintf "%s:%d: %s" ctx.cur_unit line construct in
-  (match t.direct with
+  (match witness ~rule t with
    | Some steps ->
      ctx.emissions <-
        { e_rule = rule;
@@ -260,13 +279,7 @@ let sink_hit ctx ~rule ~construct ~site ~supp t =
 
 (* Fire a callee's parameter-conditional sinks against call-site
    argument taints, composing witnesses through the call. *)
-(* NO-SECRET-PRINT suppression (here and on instantiate_ret /
-   analyze_top): these sprintf calls format witness *labels* — the
-   names of parameters and callees, words like "key" included — into
-   the path strings findings carry.  No secret values exist at lint
-   time. *)
-let[@shs.lint_ignore "NO-SECRET-PRINT"] apply_cond_sinks ctx ~site ~callee
-    (sinks : cond_sink list) arg_taints =
+let apply_cond_sinks ctx ~site ~callee (sinks : cond_sink list) arg_taints =
   List.iter
     (fun c ->
       match List.assoc_opt c.cs_key arg_taints with
@@ -276,7 +289,7 @@ let[@shs.lint_ignore "NO-SECRET-PRINT"] apply_cond_sinks ctx ~site ~callee
           step_at ctx site
             (Printf.sprintf "argument %s of %s" c.cs_key callee)
         in
-        (match t.direct with
+        (match witness ~rule:c.cs_rule t with
          | Some steps ->
            ctx.emissions <-
              { e_rule = c.cs_rule;
@@ -301,9 +314,8 @@ let[@shs.lint_ignore "NO-SECRET-PRINT"] apply_cond_sinks ctx ~site ~callee
     sinks
 
 (* Instantiate a callee's return taint at a call site. *)
-let[@shs.lint_ignore "NO-SECRET-PRINT"] instantiate_ret ctx ~site ~callee
-    (s : summary) arg_taints =
-  let ret = { direct = s.s_ret.direct; via = SMap.empty } in
+let instantiate_ret ctx ~site ~callee (s : summary) arg_taints =
+  let ret = { s.s_ret with via = SMap.empty } in
   SMap.fold
     (fun key steps acc ->
       match List.assoc_opt key arg_taints with
@@ -316,6 +328,7 @@ let[@shs.lint_ignore "NO-SECRET-PRINT"] instantiate_ret ctx ~site ~callee
         let lift w = w @ (call_step :: steps) in
         join acc
           { direct = Option.map lift t.direct;
+            compare_only = Option.map lift t.compare_only;
             via = SMap.map lift t.via;
           })
     s.s_ret.via ret
@@ -339,13 +352,13 @@ let keyed_args (evald : (Asttypes.arg_label * taint) list) =
     evald
 
 let rec eval ctx env (e : Typedtree.expression) : taint =
-  let scopes = Lint_ast.suppressions e.exp_attributes in
+  let scopes = Lint_tast.suppressions e.exp_attributes in
   ctx.supp_stack <- scopes :: ctx.supp_stack;
   let t = eval_desc ctx env e in
   ctx.supp_stack <- List.tl ctx.supp_stack;
   let t =
     if has_secret_attr e.exp_attributes then
-      join { direct = Some [ step_at ctx e "[@shs.secret] value" ]; via = SMap.empty } t
+      join (source_taint (step_at ctx e "[@shs.secret] value")) t
     else t
   in
   if immediate_type e.exp_type then bot else t
@@ -365,7 +378,7 @@ and eval_desc ctx env (e : Typedtree.expression) : taint =
           List.fold_left
             (fun acc t ->
               join acc
-                { direct = (lookup_summary ctx t.Lint_tast.t_qual).s_ret.direct;
+                { (lookup_summary ctx t.Lint_tast.t_qual).s_ret with
                   via = SMap.empty;
                 })
             bot cands
@@ -430,9 +443,12 @@ and eval_desc ctx env (e : Typedtree.expression) : taint =
              evald;
          bot
        end
-       else if List.exists (fun n -> List.mem n ctx.cfg.sources) names then
-         { direct = Some [ step_at ctx e (display ^ " (declared secret source)") ];
-           via = SMap.empty;
+       else if matches ctx.cfg.sources then
+         source_taint (step_at ctx e (display ^ " (declared secret source)"))
+       else if matches ctx.cfg.mac_sources then
+         (* the tag is compare-only whatever its key's taint *)
+         { bot with
+           compare_only = Some [ step_at ctx e (display ^ " (MAC output)") ];
          }
        else if matches ctx.cfg.transparent_fns then
          (* configured transparency wins over the callee's summary: these
@@ -511,13 +527,8 @@ and eval_desc ctx env (e : Typedtree.expression) : taint =
       | _ -> ""
     in
     if List.mem (tyname, ld.lbl_name) ctx.cfg.secret_fields then
-      { direct =
-          Some
-            [ step_at ctx e
-                (Printf.sprintf "secret field %s.%s" tyname ld.lbl_name)
-            ];
-        via = SMap.empty;
-      }
+      source_taint
+        (step_at ctx e (Printf.sprintf "secret field %s.%s" tyname ld.lbl_name))
     else bot
   | _ ->
     (* generic: union of direct children (tuples, constructors, arrays,
@@ -528,17 +539,15 @@ and eval_desc ctx env (e : Typedtree.expression) : taint =
       (Lint_tast.expr_children e)
 
 and eval_binding ctx env (vb : Typedtree.value_binding) =
-  ctx.supp_stack <- Lint_ast.suppressions vb.vb_attributes :: ctx.supp_stack;
+  ctx.supp_stack <- Lint_tast.suppressions vb.vb_attributes :: ctx.supp_stack;
   let t = eval ctx env vb.vb_expr in
   ctx.supp_stack <- List.tl ctx.supp_stack;
   let t =
     if has_secret_attr vb.vb_attributes then
       let line = vb.vb_loc.Location.loc_start.Lexing.pos_lnum in
       join
-        { direct =
-            Some [ Printf.sprintf "%s:%d: [@shs.secret] binding" ctx.cur_unit line ];
-          via = SMap.empty;
-        }
+        (source_taint
+           (Printf.sprintf "%s:%d: [@shs.secret] binding" ctx.cur_unit line))
         t
     else t
   in
@@ -550,15 +559,14 @@ and eval_binding ctx env (vb : Typedtree.value_binding) =
 (* Per-function analysis and the fixpoint                              *)
 (* ------------------------------------------------------------------ *)
 
-let[@shs.lint_ignore "NO-SECRET-PRINT"] analyze_top ~cfg ~prog ~summaries
-    ~collect (t : Lint_tast.top) =
+let analyze_top ~cfg ~prog ~summaries ~collect (t : Lint_tast.top) =
   let ctx =
     { cfg;
       prog;
       summaries;
       emissions = [];
       cur_sinks = [];
-      supp_stack = [ Lint_ast.suppressions t.t_attrs ];
+      supp_stack = [ Lint_tast.suppressions t.t_attrs ];
       cur_unit = t.t_unit;
       cur_binding = t.t_name;
     }
@@ -570,7 +578,7 @@ let[@shs.lint_ignore "NO-SECRET-PRINT"] analyze_top ~cfg ~prog ~summaries
       let entry =
         Printf.sprintf "%s: parameter %s of %s" t.t_unit key t.t_qual
       in
-      let pt = { direct = None; via = SMap.singleton key [ entry ] } in
+      let pt = { bot with via = SMap.singleton key [ entry ] } in
       Hashtbl.replace env (Lint_tast.ident_key param) pt;
       List.iter (fun (id, _) -> Hashtbl.replace env (Lint_tast.ident_key id) pt) pids)
     params;
@@ -579,7 +587,7 @@ let[@shs.lint_ignore "NO-SECRET-PRINT"] analyze_top ~cfg ~prog ~summaries
      let entry =
        Printf.sprintf "%s: parameter %s of %s" t.t_unit key t.t_qual
      in
-     let pt = { direct = None; via = SMap.singleton key [ entry ] } in
+     let pt = { bot with via = SMap.singleton key [ entry ] } in
      List.iter
        (fun (c : Typedtree.value Typedtree.case) ->
          List.iter (fun (id, _) -> Hashtbl.replace env (Lint_tast.ident_key id) pt)
@@ -593,10 +601,8 @@ let[@shs.lint_ignore "NO-SECRET-PRINT"] analyze_top ~cfg ~prog ~summaries
     if has_secret_attr t.t_attrs then
       let line = t.t_expr.exp_loc.Location.loc_start.Lexing.pos_lnum in
       join
-        { direct =
-            Some [ Printf.sprintf "%s:%d: [@shs.secret] binding" t.t_unit line ];
-          via = SMap.empty;
-        }
+        (source_taint
+           (Printf.sprintf "%s:%d: [@shs.secret] binding" t.t_unit line))
         ret
     else ret
   in

@@ -1,7 +1,8 @@
-(** Typed program model for the cmt-based pass: loading [.cmt]
-    Typedtrees ([Cmt_format]), flattening every compilation unit into a
-    list of top-level bindings, and resolving [Path.t] references to a
-    whole-program qualified namespace.
+(** Typed program model for [shs_lint]: loading [.cmt] Typedtrees
+    ([Cmt_format]), flattening every compilation unit into a list of
+    top-level bindings, resolving [Path.t] references to a whole-program
+    qualified namespace, and the [[@shs.lint_ignore]] suppression scopes
+    every rule walks under.
 
     Resolution semantics (probed against this repo's own cmts):
     - references to global compilation units appear directly
@@ -36,9 +37,17 @@ type top = {
 (* cmt discovery and loading                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Every .cmt under the dune build tree (or [root] itself when running
-   from inside _build/default).  Unlike source discovery, dot-directories
-   must be walked: dune keeps cmts in .objs/byte. *)
+let starts_with prefix s =
+  String.length s >= String.length prefix
+  && String.equal (String.sub s 0 (String.length prefix)) prefix
+
+(* The trees the linter covers, as root-relative directory prefixes. *)
+let linted_dirs = [ "lib/"; "bin/"; "bench/" ]
+
+(* Every .cmt under the linted trees of the dune build tree (or of
+   [root] itself when running from inside _build/default): dune keeps a
+   unit's cmt under its source directory.  Unlike source discovery,
+   dot-directories must be walked: dune keeps cmts in .objs/byte. *)
 let discover_cmts root =
   let base =
     let d = Filename.concat (Filename.concat root "_build") "default" in
@@ -52,28 +61,22 @@ let discover_cmts root =
       Array.sort compare names;
       Array.iter
         (fun name ->
-          if not (String.equal name ".git") then begin
-            let p = Filename.concat dir name in
-            if Sys.is_directory p then walk p
-            else if Filename.check_suffix name ".cmt" then acc := p :: !acc
-          end)
+          let p = Filename.concat dir name in
+          if Sys.is_directory p then walk p
+          else if Filename.check_suffix name ".cmt" then acc := p :: !acc)
         names
   in
-  walk base;
+  List.iter (fun d -> walk (Filename.concat base d)) linted_dirs;
   List.rev !acc
 
 (* Load the Implementation cmts whose recorded source lives under one of
-   [dirs] (dune records sources root-relative, e.g. "lib/core/gcd.ml").
-   Unreadable or foreign cmts are skipped, not fatal: the typed gate
-   must stay total over whatever the build tree holds. *)
-let load_units ?(dirs = [ "lib/" ]) root =
+   [linted_dirs] (dune records sources root-relative, e.g.
+   "lib/core/gcd.ml").  Unreadable or foreign cmts are skipped here; the
+   linter's coverage guard then names every source left without a unit. *)
+let load_units root =
   let keep src =
     Filename.check_suffix src ".ml"
-    && List.exists
-         (fun d ->
-           String.length src >= String.length d
-           && String.equal (String.sub src 0 (String.length d)) d)
-         dirs
+    && List.exists (fun d -> starts_with d src) linted_dirs
   in
   let seen = Hashtbl.create 64 in
   List.filter_map
@@ -132,6 +135,61 @@ let loc_of (e : Typedtree.expression) =
    but [unique_name] embeds one, and a reference to a binder carries the
    binder's own ident. *)
 let ident_key (id : Ident.t) = Ident.unique_name id
+
+(* ------------------------------------------------------------------ *)
+(* Suppression attributes                                              *)
+(* ------------------------------------------------------------------ *)
+
+let ignore_attr = "shs.lint_ignore"
+
+(* [[@shs.lint_ignore "NO-POLY-COMPARE"]] or a comma-separated list of
+   rule ids; a payload of ["all"] silences every rule for the subtree. *)
+let suppressions (attrs : Parsetree.attributes) =
+  List.concat_map
+    (fun (a : Parsetree.attribute) ->
+      if not (String.equal a.attr_name.txt ignore_attr) then []
+      else
+        match a.attr_payload with
+        | PStr
+            [ { pstr_desc =
+                  Pstr_eval
+                    ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
+                _;
+              }
+            ] ->
+          List.filter_map
+            (fun r ->
+              let r = String.trim r in
+              if String.equal r "" then None else Some r)
+            (String.split_on_char ',' s)
+        | _ -> [])
+    attrs
+
+let is_suppressed stack rule =
+  List.exists (fun l -> List.mem rule l || List.mem "all" l) stack
+
+(* Visit every expression under [expr0], calling [f] with the rule
+   suppressions active at that node ([suppressed] answers for a rule
+   id).  Attributes on nested [let] bindings scope over the binding's
+   own expression, as the compiler scopes its own attributes. *)
+let iter_expr ~init ~f expr0 =
+  let stack = ref [ init ] in
+  let it =
+    { Tast_iterator.default_iterator with
+      expr =
+        (fun self (e : Typedtree.expression) ->
+          stack := suppressions e.exp_attributes :: !stack;
+          f ~suppressed:(is_suppressed !stack) e;
+          Tast_iterator.default_iterator.expr self e;
+          stack := List.tl !stack);
+      value_binding =
+        (fun self (vb : Typedtree.value_binding) ->
+          stack := suppressions vb.vb_attributes :: !stack;
+          Tast_iterator.default_iterator.value_binding self vb;
+          stack := List.tl !stack);
+    }
+  in
+  it.expr it expr0
 
 (* ------------------------------------------------------------------ *)
 (* Flattening units into top-level bindings                            *)
@@ -249,10 +307,8 @@ let rec head_ident = function
 
 let strip_stdlib name =
   let pre = "Stdlib." in
-  if
-    String.length name > String.length pre
-    && String.equal (String.sub name 0 (String.length pre)) pre
-  then String.sub name (String.length pre) (String.length name - String.length pre)
+  if String.length name > String.length pre && starts_with pre name then
+    String.sub name (String.length pre) (String.length name - String.length pre)
   else name
 
 (* Normalized dotted name of a reference as the rest of the linter

@@ -1,18 +1,21 @@
-(** The typed-pass rule catalogue: the repo's taint configuration for
-    {!Lint_taint}, plus the cross-module TOTAL-DECODE reachability check
-    that replaces the per-file approximation when the typed pass runs.
+(** The rule catalogue: the repo's taint configuration for
+    {!Lint_taint}, the cross-module TOTAL-DECODE reachability check, and
+    the reference checks that need no dataflow.
 
-    Three rules ride the taint engine:
+    Three rules ride the taint engine, over the units under [lib/]:
     - {b NO-POLY-COMPARE} — structural/polymorphic comparison over a
-      secret-tainted operand (supersedes CT-EQ's naming heuristic);
-    - {b NO-SECRET-PRINT} (v2) — print/log/Obs payloads that carry
-      secret-tainted data, wherever the emission happens;
+      secret-tainted operand or a MAC tag;
+    - {b NO-SECRET-PRINT} — print/log/Obs payloads that carry
+      secret-tainted data; its second clause bans channel emitters from
+      [lib/] outright, since taint is laundered by mutable fields and by
+      byte-wise code;
     - {b NO-PLAINTEXT-WIRE} — [Wire.encode] of tainted material outside
       the ciphertext-framing modules.
 
-    TOTAL-DECODE is re-run here over the resolved cross-module call
-    graph, so a decoder in [Gcd] reaching a [failwith] in [Lkh] is now
-    visible; the untyped same-module variant is superseded. *)
+    TOTAL-DECODE walks the resolved cross-module call graph from every
+    decode-named entry point; NO-AMBIENT-ENTROPY and TAXONOMY check the
+    references and constructors of every unit under [lib/], [bin/] and
+    [bench/]. *)
 
 open Lint_types
 
@@ -44,6 +47,7 @@ let repo_config : Lint_taint.config =
         (* exported PKE secret keys *)
         "Dhies.export_secret";
       ];
+    mac_sources = [ "Hmac.mac"; "Hmac.mac_list"; "Hmac.mac_prepared" ];
     secret_fields =
       [ ("secret_key", "x");  (* Dhies *)
         ("manager", "order");  (* acjt/kty group-manager trapdoors *)
@@ -93,38 +97,39 @@ let repo_config : Lint_taint.config =
 
 let catalogue : rule_info list =
   [ { ri_id = "NO-POLY-COMPARE";
-      ri_severity = Error;
       ri_doc =
         "no polymorphic =/compare/Hashtbl.hash or String/Bytes/Bigint \
-         comparison over secret-tainted values (taint-tracked across \
-         modules); use Hmac.equal_ct or Bigint.equal_ct";
-      ri_pass = "typed";
+         comparison over secret-tainted values or MAC tags (taint-tracked \
+         across modules); use Hmac.equal_ct or Bigint.equal_ct";
     };
     { ri_id = "NO-SECRET-PRINT";
-      ri_severity = Error;
       ri_doc =
-        "no print/log/Obs payload may carry secret-tainted data, wherever \
-         the emitting call lives";
-      ri_pass = "typed";
+        "no print/log/Obs payload may carry secret-tainted data, and no \
+         unit under lib/ references a channel emitter (print_*, \
+         Printf.printf, output_string, ...)";
     };
     { ri_id = "NO-PLAINTEXT-WIRE";
-      ri_severity = Error;
       ri_doc =
         "no Wire.encode of secret-tainted fields outside the \
          Secretbox/Pke ciphertext framing modules";
-      ri_pass = "typed";
     };
     { ri_id = "TOTAL-DECODE";
-      ri_severity = Error;
       ri_doc =
         "no raising or partial construct reachable from a \
          decode-and-verify entry point, across module boundaries";
-      ri_pass = "typed";
+    };
+    { ri_id = "NO-AMBIENT-ENTROPY";
+      ri_doc =
+        "no Random.*, Sys.time or Unix.gettimeofday/Unix.time outside the \
+         designated clock (lib/obs/obs.ml), in lib/, bin/ and bench/";
+    };
+    { ri_id = "TAXONOMY";
+      ri_doc =
+        "every Error _ constructed under lib/, bin/ or bench/ carries a \
+         typed reason (Shs_error.reason or a module error variant), never a \
+         bare string";
     };
   ]
-
-(* Untyped rules the typed pass replaces wholesale. *)
-let superseded = [ "CT-EQ"; "TOTAL-DECODE"; "NO-SECRET-PRINT" ]
 
 (* ------------------------------------------------------------------ *)
 (* Taint findings → lint findings                                      *)
@@ -132,8 +137,8 @@ let superseded = [ "CT-EQ"; "TOTAL-DECODE"; "NO-SECRET-PRINT" ]
 
 let message_of_rule = function
   | "NO-POLY-COMPARE" ->
-    "structural comparison over secret-tainted data (timing distinguishes \
-     operand bytes); use Hmac.equal_ct or Bigint.equal_ct"
+    "structural comparison over secret-tainted data or a MAC tag (timing \
+     distinguishes operand bytes); use Hmac.equal_ct or Bigint.equal_ct"
   | "NO-SECRET-PRINT" -> "print/log emission of secret-tainted data"
   | "NO-PLAINTEXT-WIRE" ->
     "secret-tainted value written into a plaintext wire frame; only \
@@ -142,17 +147,20 @@ let message_of_rule = function
 
 let finding_of_emission (e : Lint_taint.emission) =
   ( { rule = e.e_rule;
-      severity = Error;
       file = e.e_file;
       line = e.e_line;
       col = e.e_col;
       binding = e.e_binding;
       construct = e.e_construct;
       message = message_of_rule e.e_rule;
-      pass = "typed";
       path = e.e_steps;
     },
     e.e_supp )
+
+(* A finding flagged at expression [e] of top [t]. *)
+let finding_at (t : Lint_tast.top) ~rule ~construct ~message ?(path = []) e =
+  let line, col = Lint_tast.loc_of e in
+  { rule; file = t.t_unit; line; col; binding = t.t_name; construct; message; path }
 
 (* ------------------------------------------------------------------ *)
 (* Cross-module TOTAL-DECODE                                           *)
@@ -161,40 +169,9 @@ let finding_of_emission (e : Lint_taint.emission) =
 let decode_scope =
   [ "lib/wire/"; "lib/cgkd/"; "lib/dgka/"; "lib/pke/"; "lib/core/" ]
 
-let in_scope file =
-  List.exists
-    (fun d ->
-      String.length file >= String.length d
-      && String.equal (String.sub file 0 (String.length d)) d)
-    decode_scope
-
 let partial_constructs =
   [ "failwith"; "invalid_arg"; "raise"; "raise_notrace"; "Option.get";
     "List.hd"; "List.nth"; "List.tl"; "int_of_string" ]
-
-(* Typed-expression traversal mirroring [Lint_ast.iter_expr]'s
-   suppression scoping. *)
-let iter_expr_typed ~init ~f expr0 =
-  let stack = ref [ init ] in
-  let suppressed rule =
-    List.exists (fun l -> List.mem rule l || List.mem "all" l) !stack
-  in
-  let it =
-    { Tast_iterator.default_iterator with
-      expr =
-        (fun self (e : Typedtree.expression) ->
-          stack := Lint_ast.suppressions e.exp_attributes :: !stack;
-          f ~suppressed e;
-          Tast_iterator.default_iterator.expr self e;
-          stack := List.tl !stack);
-      value_binding =
-        (fun self (vb : Typedtree.value_binding) ->
-          stack := Lint_ast.suppressions vb.vb_attributes :: !stack;
-          Tast_iterator.default_iterator.value_binding self vb;
-          stack := List.tl !stack);
-    }
-  in
-  it.expr it expr0
 
 let decode_entry_markers =
   [ "receive"; "decode"; "rekey"; "import"; "verify"; "update"; "unwrap";
@@ -213,7 +190,7 @@ let is_decode_entry name =
 (* Resolved call edges of a top, with the use-site line for witnesses. *)
 let edges_of (prog : Lint_tast.program) (t : Lint_tast.top) =
   let acc = ref [] in
-  iter_expr_typed ~init:[] t.t_expr ~f:(fun ~suppressed:_ e ->
+  Lint_tast.iter_expr ~init:[] t.t_expr ~f:(fun ~suppressed:_ e ->
       match e.exp_desc with
       | Texp_ident (p, _, _) ->
         (match Lint_tast.resolve prog ~unit:t.t_unit p with
@@ -228,7 +205,10 @@ let edges_of (prog : Lint_tast.program) (t : Lint_tast.top) =
       | _ -> ());
   List.rev !acc
 
-let total_decode_typed (prog : Lint_tast.program) =
+let total_decode (prog : Lint_tast.program) =
+  let in_scope file =
+    List.exists (fun d -> Lint_tast.starts_with d file) decode_scope
+  in
   let edges = Hashtbl.create 256 in
   List.iter
     (fun (t : Lint_tast.top) -> Hashtbl.replace edges t.t_qual (edges_of prog t))
@@ -268,26 +248,19 @@ let total_decode_typed (prog : Lint_tast.program) =
     (fun (t : Lint_tast.top) ->
       match Hashtbl.find_opt reached t.t_qual with
       | Some steps when in_scope t.t_unit ->
-        iter_expr_typed ~init:(Lint_ast.suppressions t.t_attrs) t.t_expr
+        Lint_tast.iter_expr ~init:(Lint_tast.suppressions t.t_attrs) t.t_expr
           ~f:(fun ~suppressed e ->
             let flag construct =
-              let line, col = Lint_tast.loc_of e in
+              let line, _ = Lint_tast.loc_of e in
               out :=
-                ( { rule = "TOTAL-DECODE";
-                    severity = Error;
-                    file = t.t_unit;
-                    line;
-                    col;
-                    binding = t.t_name;
-                    construct;
-                    message =
+                ( finding_at t e ~rule:"TOTAL-DECODE" ~construct
+                    ~message:
                       "partial or raising construct reachable from a \
                        decode-and-verify entry point (cross-module); \
                        malformed input must come back as a typed \
-                       Shs_error rejection, not an exception";
-                    pass = "typed";
-                    path = steps @ [ Printf.sprintf "%s:%d: %s" t.t_unit line construct ];
-                  },
+                       Shs_error rejection, not an exception"
+                    ~path:
+                      (steps @ [ Printf.sprintf "%s:%d: %s" t.t_unit line construct ]),
                   suppressed "TOTAL-DECODE" )
                 :: !out
             in
@@ -307,10 +280,94 @@ let total_decode_typed (prog : Lint_tast.program) =
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
+(* Reference checks: entropy, channel emitters, stringly errors        *)
+(* ------------------------------------------------------------------ *)
+
+(* The simulation's replay guarantee holds only if every random or
+   temporal input flows through the seeded DRBG or the pluggable
+   observability clock; obs.ml defines that clock. *)
+let entropy_allowed_files = [ "lib/obs/obs.ml" ]
+let entropy_exact = [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
+
+let is_ambient name =
+  Lint_tast.starts_with "Random." name || List.mem name entropy_exact
+
+(* Functions that write to a channel, and the standard channels and
+   formatters themselves, applied or passed as a value. *)
+let channel_emitters =
+  [ "print_string"; "print_bytes"; "print_char"; "print_int"; "print_float";
+    "print_endline"; "print_newline"; "prerr_string"; "prerr_bytes";
+    "prerr_char"; "prerr_int"; "prerr_float"; "prerr_endline";
+    "prerr_newline"; "output_string"; "output_bytes"; "output_char";
+    "output_substring"; "output"; "Printf.printf"; "Printf.eprintf";
+    "Printf.fprintf"; "Format.printf"; "Format.eprintf";
+    "Out_channel.output_string"; "Out_channel.output_bytes";
+    "Out_channel.output_char"; "stdout"; "stderr"; "Out_channel.stdout";
+    "Out_channel.stderr"; "Format.std_formatter"; "Format.err_formatter" ]
+
+let stringly_heads =
+  [ "Printf.sprintf"; "Format.sprintf"; "Format.asprintf"; "Printexc.to_string";
+    "String.concat"; "String.cat"; "^" ]
+
+let references (prog : Lint_tast.program) =
+  let out = ref [] in
+  List.iter
+    (fun (t : Lint_tast.top) ->
+      let normalize = Lint_tast.normalize prog ~unit:t.t_unit in
+      Lint_tast.iter_expr ~init:(Lint_tast.suppressions t.t_attrs) t.t_expr
+        ~f:(fun ~suppressed (e : Typedtree.expression) ->
+          let flag rule construct message site =
+            out :=
+              (finding_at t site ~rule ~construct ~message, suppressed rule)
+              :: !out
+          in
+          match e.exp_desc with
+          | Texp_ident (p, _, _) ->
+            let n = normalize p in
+            if is_ambient n && not (List.mem t.t_unit entropy_allowed_files)
+            then
+              flag "NO-AMBIENT-ENTROPY" n
+                "ambient entropy/time source; it breaks seeded \
+                 byte-identical replay — draw from the session DRBG or the \
+                 Obs clock"
+                e
+            else if
+              List.mem n channel_emitters && Lint_tast.starts_with "lib/" t.t_unit
+            then
+              flag "NO-SECRET-PRINT" n
+                "channel emitter referenced under lib/; library code reports \
+                 through Obs and returned values, never a channel"
+                e
+          | Texp_construct (_, { cstr_name = "Error"; _ }, [ payload ]) ->
+            let stringly =
+              match payload.exp_desc with
+              | Texp_constant (Const_string _) -> true
+              | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
+                List.mem (normalize p) stringly_heads
+              | _ -> false
+            in
+            if stringly then
+              flag "TAXONOMY" "Error(string)"
+                "stringly Error payload; rejections must carry a typed reason \
+                 so the Shs_error taxonomy stays total"
+                payload
+          | _ -> ()))
+    prog.p_tops;
+  List.rev !out
+
+(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(config = repo_config) (prog : Lint_tast.program) :
+(* Every rule over [units], each finding paired with its suppression
+   flag.  The flow rules see the library alone: bin/ and bench/ mains
+   would only widen the last-name fallback of functor-parameter calls. *)
+let run ?(config = repo_config) (units : Lint_tast.unit_info list) :
     (finding * bool) list =
-  List.map finding_of_emission (Lint_taint.run ~cfg:config prog)
-  @ total_decode_typed prog
+  let lib =
+    Lint_tast.index
+      (List.filter (fun u -> Lint_tast.starts_with "lib/" u.Lint_tast.u_path) units)
+  in
+  List.map finding_of_emission (Lint_taint.run ~cfg:config lib)
+  @ total_decode lib
+  @ references (Lint_tast.index units)

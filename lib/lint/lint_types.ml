@@ -1,29 +1,16 @@
 (** Shared vocabulary of [shs_lint], the repo's domain-specific static
     analysis (DESIGN.md §9).
 
-    The analysis is two-phase.  The {e untyped} pass parses each file on
-    its own ([Parse.implementation] + [Ast_iterator]) and applies fast
-    per-file {e rules}; the {e typed} pass walks the whole program's
-    [.cmt] Typedtrees, builds a cross-module call graph and runs a
-    secret-taint dataflow over it ({!Lint_taint}).  Both passes produce
-    the same {!finding} shape; the engine ({!Lint_engine}) layers
-    suppression attributes and the checked-in baseline on top, so a
-    finding is "actionable" only when it is neither suppressed in the
-    source nor accounted for by the baseline. *)
-
-type severity =
-  | Error  (** gates CI: any non-baselined finding fails the run *)
-  | Warning  (** reported, but does not affect the exit status *)
-
-let severity_to_string = function Error -> "error" | Warning -> "warning"
-
-(** Which analysis pass produced a finding (or may retire a baseline
-    entry): ["untyped"] or ["typed"]. *)
-type pass = string
+    The analysis is one typed pass: it loads the whole program's [.cmt]
+    Typedtrees ({!Lint_tast}), runs a secret-taint dataflow over the
+    cross-module call graph ({!Lint_taint}) and the reference checks of
+    {!Lint_typed_rules}.  Every rule produces the same {!finding} shape;
+    a finding is "actionable" unless an in-scope
+    [[@shs.lint_ignore "RULE"]] attribute suppresses it, and any
+    actionable finding fails the gate. *)
 
 type finding = {
-  rule : string;  (** rule id, e.g. ["CT-EQ"] *)
-  severity : severity;
+  rule : string;  (** rule id, e.g. ["NO-POLY-COMPARE"] *)
   file : string;  (** path relative to the lint root, '/'-separated *)
   line : int;  (** 1-based *)
   col : int;  (** 0-based column, as the compiler reports *)
@@ -32,11 +19,9 @@ type finding = {
           ["<toplevel>"] for bare structure-level expressions *)
   construct : string;  (** offending construct, e.g. ["String.equal"] *)
   message : string;
-  pass : pass;
   path : string list;
-      (** source→sink witness ("file:line: step" per hop) for typed
-          findings; [[]] for untyped findings, whose evidence is the
-          flagged site itself *)
+      (** source→sink witness ("file:line: step" per hop) for flow
+          findings; [[]] when the flagged site is the whole evidence *)
 }
 
 (* Deterministic report order: by position, then rule, then construct —
@@ -54,29 +39,5 @@ let compare_finding a b =
         let c = compare a.rule b.rule in
         if c <> 0 then c else compare a.construct b.construct
 
-type rule = {
-  id : string;
-  severity : severity;
-  doc : string;  (** one-line rule catalogue entry *)
-  applies : string -> bool;  (** does this rule scan the given file? *)
-  check : file:string -> Parsetree.structure -> (finding * bool) list;
-      (** findings paired with [true] when an in-scope
-          [[@shs.lint_ignore "RULE"]] attribute suppresses them *)
-}
-
-(** Catalogue entry shared by both passes — typed rules have no per-file
-    [check] (they run over the whole program at once), so the report and
-    [--list-rules] describe every rule through this shape. *)
-type rule_info = {
-  ri_id : string;
-  ri_severity : severity;
-  ri_doc : string;
-  ri_pass : pass;
-}
-
-let info_of_rule r =
-  { ri_id = r.id; ri_severity = r.severity; ri_doc = r.doc; ri_pass = "untyped" }
-
-(** A source file fails to parse: the linter cannot vouch for it, so the
-    driver treats this as a usage error (exit 2), not a finding. *)
-type parse_failure = Parse_failure of { pf_file : string; pf_msg : string }
+(** Rule catalogue entry, as the report and [--list-rules] show it. *)
+type rule_info = { ri_id : string; ri_doc : string }

@@ -1,34 +1,14 @@
-(* Tests for shs_lint (lib/lint), both passes.
+(* Tests for shs_lint (lib/lint).
 
-   Untyped: each rule fires on a minimal fixture exactly once, a clean
-   fixture yields nothing, suppression attributes and the baseline each
-   retire findings without hiding new ones, and the JSON report is
-   byte-deterministic.
-
-   Typed: fixtures are typechecked in-process (Typemod over a threaded
-   Env, no filesystem) and fed to the same whole-program analysis the
-   driver runs over .cmt files — cross-module taint, recursive summary
-   convergence, suppression scoping, the [@shs.secret] attribute, and
-   cross-module TOTAL-DECODE. *)
-
-let src path code = { Lint_engine.path; code }
-
-let run ?rules ?typed ?baseline sources =
-  Lint_engine.lint ?rules ?typed ?baseline sources
-
-let rules_of (o : Lint_engine.outcome) =
-  List.map (fun f -> f.Lint_types.rule) o.actionable
-
-let check_counts label (o : Lint_engine.outcome) ~actionable ~baselined
-    ~suppressed =
-  Alcotest.(check int) (label ^ ": actionable") actionable
-    (List.length o.actionable);
-  Alcotest.(check int) (label ^ ": baselined") baselined
-    (List.length o.baselined);
-  Alcotest.(check int) (label ^ ": suppressed") suppressed
-    (List.length o.suppressed);
-  Alcotest.(check int) (label ^ ": parse failures") 0
-    (List.length o.parse_failures)
+   Fixtures are typechecked in-process (Typemod over a threaded Env, no
+   filesystem) and fed to the same whole-program analysis shs_lint
+   runs over .cmt files: each rule fires on a minimal fixture, a clean
+   fixture yields nothing, suppression attributes retire findings
+   without hiding others, the JSON report is byte-deterministic, and
+   the taint engine handles cross-module flow, recursive summaries, the
+   [@shs.secret] attribute, the blinding boundary and compare-only MAC
+   tags.  The in-process environment does not load [unix], so the
+   entropy fixtures use [Sys.time] and [Random]. *)
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -38,252 +18,12 @@ let contains_sub s sub =
   m = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
-(* One fixture per untyped rule                                        *)
-(* ------------------------------------------------------------------ *)
-
-let ct_eq_fixture =
-  src "lib/core/fixture.ml"
-    "let check ~mac ~expected = String.equal mac expected\n"
-
-let test_ct_eq () =
-  let o = run [ ct_eq_fixture ] in
-  check_counts "ct-eq" o ~actionable:1 ~baselined:0 ~suppressed:0;
-  Alcotest.(check (list string)) "rule id" [ "CT-EQ" ] (rules_of o);
-  let f = List.hd o.actionable in
-  Alcotest.(check string) "construct" "String.equal" f.Lint_types.construct;
-  Alcotest.(check string) "binding" "check" f.Lint_types.binding;
-  Alcotest.(check string) "pass" "untyped" f.Lint_types.pass;
-  Alcotest.(check int) "line" 1 f.Lint_types.line
-
-let test_ct_eq_needs_secret_operand () =
-  (* the same comparison over non-secret names is not a finding, and
-     count-suffixed names ([key_len]) do not count as secrets *)
-  let o =
-    run
-      [ src "lib/core/fixture.ml"
-          "let same a b = String.equal a b\n\
-           let fits ~key_len = key_len = 32\n\
-           let missing ~kprime = kprime = None\n" ]
-  in
-  check_counts "non-secret operands" o ~actionable:0 ~baselined:0 ~suppressed:0
-
-let test_ct_eq_out_of_scope () =
-  (* CT-EQ only patrols the secret-bearing layers *)
-  let o = run [ src "lib/net/fixture.ml" ct_eq_fixture.Lint_engine.code ] in
-  check_counts "out of scope" o ~actionable:0 ~baselined:0 ~suppressed:0
-
-let test_entropy () =
-  let o =
-    run [ src "lib/net/fixture.ml" "let jitter () = Random.float 1.0\n" ]
-  in
-  check_counts "entropy" o ~actionable:1 ~baselined:0 ~suppressed:0;
-  Alcotest.(check (list string)) "rule id" [ "NO-AMBIENT-ENTROPY" ] (rules_of o);
-  (* the rule patrols bin/ and bench/ too, not just lib/ *)
-  let bench =
-    run [ src "bench/fixture.ml" "let now () = Unix.gettimeofday ()\n" ]
-  in
-  check_counts "bench in scope" bench ~actionable:1 ~baselined:0 ~suppressed:0;
-  (* the designated DRBG module is allowed to touch the ambient sources *)
-  let allowed =
-    run [ src "lib/hashing/drbg.ml" "let jitter () = Random.float 1.0\n" ]
-  in
-  check_counts "drbg allowlisted" allowed ~actionable:0 ~baselined:0
-    ~suppressed:0
-
-let test_total_decode () =
-  let o =
-    run
-      [ src "lib/wire/fixture.ml"
-          "let explode () = failwith \"boom\"\n\
-           let decode s = if String.length s = 0 then explode () else s\n\
-           let unrelated () = Option.get None\n" ]
-  in
-  (* [failwith] is flagged because [decode] reaches [explode] through the
-     same-module call graph; [unrelated] is not on any decode path *)
-  check_counts "total-decode" o ~actionable:1 ~baselined:0 ~suppressed:0;
-  let f = List.hd o.actionable in
-  Alcotest.(check string) "rule id" "TOTAL-DECODE" f.Lint_types.rule;
-  Alcotest.(check string) "construct" "failwith" f.Lint_types.construct;
-  Alcotest.(check string) "binding" "explode" f.Lint_types.binding
-
-let test_taxonomy () =
-  let o =
-    run
-      [ src "lib/error/fixture.ml"
-          "let reject () = Error \"empty frame\"\n\
-           let ok () = Error (`Malformed \"ctx\")\n" ]
-  in
-  (* only the bare-string payload is stringly; the tagged one is typed *)
-  check_counts "taxonomy" o ~actionable:1 ~baselined:0 ~suppressed:0;
-  Alcotest.(check (list string)) "rule id" [ "TAXONOMY" ] (rules_of o)
-
-let test_no_secret_print () =
-  let o =
-    run
-      [ src "lib/gsig/fixture.ml"
-          "let secret_key = \"k\"\nlet dump () = print_endline secret_key\n" ]
-  in
-  check_counts "no-secret-print" o ~actionable:1 ~baselined:0 ~suppressed:0;
-  Alcotest.(check (list string)) "rule id" [ "NO-SECRET-PRINT" ] (rules_of o);
-  (* printing in a module without key material is fine *)
-  let harmless =
-    run [ src "lib/obs/fixture.ml" "let hello () = print_endline \"hi\"\n" ]
-  in
-  check_counts "print without secrets" harmless ~actionable:0 ~baselined:0
-    ~suppressed:0
-
-let test_clean_fixture () =
-  let o =
-    run
-      [ src "lib/core/clean.ml"
-          "let add a b = a + b\n\
-           let tags_ok t = Hmac.equal_ct t \"expected\"\n" ]
-  in
-  check_counts "clean" o ~actionable:0 ~baselined:0 ~suppressed:0
-
-let test_superseded_catalogue () =
-  (* every rule the typed pass supersedes really is an untyped rule, and
-     the typed catalogue is consistently tagged *)
-  List.iter
-    (fun id ->
-      Alcotest.(check bool) ("superseded rule exists: " ^ id) true
-        (Lint_rules.find id <> None))
-    Lint_typed_rules.superseded;
-  List.iter
-    (fun (i : Lint_types.rule_info) ->
-      Alcotest.(check string) ("typed pass tag: " ^ i.ri_id) "typed" i.ri_pass)
-    Lint_typed_rules.catalogue
-
-(* ------------------------------------------------------------------ *)
-(* Suppression and baseline                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_suppression_attribute () =
-  let o =
-    run
-      [ src "lib/core/fixture.ml"
-          "let check ~mac ~expected =\n\
-          \  (String.equal mac expected [@shs.lint_ignore \"CT-EQ\"])\n" ]
-  in
-  check_counts "suppressed" o ~actionable:0 ~baselined:0 ~suppressed:1;
-  (* naming a different rule does not silence this one *)
-  let wrong =
-    run
-      [ src "lib/core/fixture.ml"
-          "let check ~mac ~expected =\n\
-          \  (String.equal mac expected [@shs.lint_ignore \"TAXONOMY\"])\n" ]
-  in
-  check_counts "wrong rule named" wrong ~actionable:1 ~baselined:0 ~suppressed:0
-
-let test_baseline_roundtrip () =
-  let o = run [ ct_eq_fixture ] in
-  let entries = Lint_engine.baseline_of_findings o.actionable in
-  Alcotest.(check int) "one entry" 1 (List.length entries);
-  Alcotest.(check string) "entry carries its pass" "untyped"
-    (List.hd entries).Lint_engine.b_pass;
-  let text = Lint_engine.baseline_to_string entries in
-  Alcotest.(check bool) "v2 schema written" true
-    (contains_sub text Lint_engine.baseline_schema);
-  (match Lint_engine.baseline_of_string text with
-   | None -> Alcotest.fail "baseline did not round-trip"
-   | Some parsed ->
-     Alcotest.(check bool) "entries survive round-trip" true (parsed = entries);
-     let o' = run ~baseline:parsed [ ct_eq_fixture ] in
-     check_counts "baselined run" o' ~actionable:0 ~baselined:1 ~suppressed:0;
-     (* a second, new finding in the same file is NOT absorbed *)
-     let two =
-       src ct_eq_fixture.Lint_engine.path
-         (ct_eq_fixture.Lint_engine.code
-         ^ "let check2 ~mac ~expected = String.equal mac expected\n")
-     in
-     let o2 = run ~baseline:parsed [ two ] in
-     check_counts "baseline does not grow" o2 ~actionable:1 ~baselined:1
-       ~suppressed:0)
-
-let v1_baseline_doc =
-  "{\"schema\": \"shs-lint-baseline/1\", \"entries\": [{\"rule\": \"CT-EQ\", \
-   \"file\": \"lib/core/fixture.ml\", \"binding\": \"check\", \"construct\": \
-   \"String.equal\", \"count\": 1}]}"
-
-let test_baseline_migration () =
-  (* a v1 document parses, its entries come back pass-agnostic, and
-     re-serializing yields the v2 schema that parses to the same
-     entries — the --migrate-baseline round trip *)
-  match Lint_engine.baseline_of_string v1_baseline_doc with
-  | None -> Alcotest.fail "v1 baseline rejected"
-  | Some entries ->
-    Alcotest.(check int) "one entry" 1 (List.length entries);
-    let e = List.hd entries in
-    Alcotest.(check string) "v1 entries are pass-agnostic" "any"
-      e.Lint_engine.b_pass;
-    let migrated = Lint_engine.baseline_to_string entries in
-    Alcotest.(check bool) "migration writes v2" true
-      (contains_sub migrated Lint_engine.baseline_schema);
-    Alcotest.(check bool) "migration is lossless" true
-      (Lint_engine.baseline_of_string migrated = Some entries);
-    (* a pass-agnostic allowance still absorbs the untyped finding *)
-    let o = run ~baseline:entries [ ct_eq_fixture ] in
-    check_counts "v1 allowance still applies" o ~actionable:0 ~baselined:1
-      ~suppressed:0
-
-let fabricated_typed_finding =
-  { Lint_types.rule = "NO-POLY-COMPARE";
-    severity = Lint_types.Error;
-    file = "lib/gsig/fx.ml";
-    line = 3;
-    col = 2;
-    binding = "cmp";
-    construct = "String.equal";
-    message = "structural comparison over secret-tainted data";
-    pass = "typed";
-    path = [ "lib/gsig/fx.ml:3: String.equal" ];
-  }
-
-let test_baseline_pass_specific () =
-  (* an allowance scoped to the untyped pass must not retire a typed
-     finding; "typed" and "any" allowances must *)
-  let entry pass =
-    { Lint_engine.b_rule = "NO-POLY-COMPARE";
-      b_file = "lib/gsig/fx.ml";
-      b_binding = "cmp";
-      b_construct = "String.equal";
-      b_count = 1;
-      b_pass = pass;
-    }
-  in
-  let with_pass pass =
-    run ~typed:[ (fabricated_typed_finding, false) ] ~baseline:[ entry pass ] []
-  in
-  check_counts "untyped allowance misses typed finding" (with_pass "untyped")
-    ~actionable:1 ~baselined:0 ~suppressed:0;
-  check_counts "typed allowance applies" (with_pass "typed") ~actionable:0
-    ~baselined:1 ~suppressed:0;
-  check_counts "any allowance applies" (with_pass "any") ~actionable:0
-    ~baselined:1 ~suppressed:0
-
-let test_baseline_malformed () =
-  Alcotest.(check bool) "empty object rejected" true
-    (Lint_engine.baseline_of_string "{}" = None);
-  Alcotest.(check bool) "garbage rejected" true
-    (Lint_engine.baseline_of_string "not json" = None);
-  Alcotest.(check bool) "wrong schema rejected" true
-    (Lint_engine.baseline_of_string
-       "{\"schema\": \"shs-bench/1\", \"entries\": []}"
-    = None);
-  Alcotest.(check bool) "bad pass value rejected" true
-    (Lint_engine.baseline_of_string
-       "{\"schema\": \"shs-lint-baseline/2\", \"entries\": [{\"rule\": \
-        \"CT-EQ\", \"file\": \"f.ml\", \"binding\": \"b\", \"construct\": \
-        \"c\", \"count\": 1, \"pass\": \"sideways\"}]}"
-    = None)
-
-(* ------------------------------------------------------------------ *)
-(* Typed pass: in-process fixtures                                     *)
+(* Harness                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Typecheck a list of (path, module name, code) fixtures in order,
    threading the environment so later units see earlier ones as
-   persistent modules — the same cross-module shape the driver gets
+   persistent modules — the same cross-module shape shs_lint gets
    from .cmt files, without touching the filesystem. *)
 let typecheck units =
   Compmisc.init_path ();
@@ -304,27 +44,270 @@ let typecheck units =
           { Lint_tast.u_path = path; u_modname = modname; u_str = str } :: acc ))
       (env0, []) units
   in
-  Lint_tast.index (List.rev infos)
+  List.rev infos
 
-(* Minimal policy for the fixtures: one source, one print sink, one
-   compare sink. *)
+(* Minimal policy for the flow fixtures: one source, one log sink, one
+   compare sink.  The sink is a logger, not a channel emitter, because
+   NO-SECRET-PRINT bans emitters from lib/ whatever they print. *)
 let typed_config : Lint_taint.config =
   { sources = [ "A.gen" ];
+    mac_sources = [];
     secret_fields = [];
     transparent_mods = [];
     transparent_fns = [];
     compare_sinks = [ "String.equal" ];
-    print_sinks = [ "print_string" ];
+    print_sinks = [ "Log.info" ];
     wire_sinks = [];
     wire_exempt_files = [];
   }
 
-let run_typed units = Lint_typed_rules.run ~config:typed_config (typecheck units)
+let log_unit = ("lib/obs/log.ml", "Log", "let info (_ : string) = ()\n")
+
+let run_typed units =
+  Lint_typed_rules.run ~config:typed_config (typecheck (log_unit :: units))
+
+(* The whole ledger under the repo policy, for rules outside the taint
+   engine and for the MAC fixtures. *)
+let lint units = Lint_engine.lint (typecheck units)
+
+let rules_of (o : Lint_engine.outcome) =
+  List.map (fun f -> f.Lint_types.rule) o.actionable
+
+let constructs_of (o : Lint_engine.outcome) =
+  List.map (fun f -> f.Lint_types.construct) o.actionable
+
+let check_counts label (o : Lint_engine.outcome) ~actionable ~suppressed =
+  Alcotest.(check int) (label ^ ": actionable") actionable
+    (List.length o.actionable);
+  Alcotest.(check int) (label ^ ": suppressed") suppressed
+    (List.length o.suppressed)
+
+(* A constant-time compare shaped like the repo's, and a MAC whose tag
+   is plainly derived from its key. *)
+let hmac_unit =
+  ( "lib/hashing/hmac.ml",
+    "Hmac",
+    "let mac_prepared key parts = String.concat key parts\n\
+     let equal_ct a b =\n\
+    \  String.length a = String.length b\n\
+    \  && (let d = ref 0 in\n\
+    \      String.iteri (fun i c -> d := !d lor (Char.code c lxor Char.code b.[i])) a;\n\
+    \      !d = 0)\n" )
+
+(* ------------------------------------------------------------------ *)
+(* One fixture per reference rule                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_entropy () =
+  let o =
+    lint [ ("lib/net/fixture.ml", "Fixture", "let jitter () = Random.float 1.0\n") ]
+  in
+  check_counts "entropy" o ~actionable:1 ~suppressed:0;
+  Alcotest.(check (list string)) "rule id" [ "NO-AMBIENT-ENTROPY" ] (rules_of o);
+  Alcotest.(check (list string)) "construct" [ "Random.float" ] (constructs_of o);
+  (* the rule patrols bin/ and bench/ too, not just lib/ *)
+  let bench = lint [ ("bench/fixture.ml", "Fixture", "let now () = Sys.time ()\n") ] in
+  check_counts "bench in scope" bench ~actionable:1 ~suppressed:0;
+  (* the Obs clock is the one designated reader of the wall clock *)
+  let clock = lint [ ("lib/obs/obs.ml", "Obs", "let now () = Sys.time ()\n") ] in
+  check_counts "obs clock allowlisted" clock ~actionable:0 ~suppressed:0;
+  (* the DRBG reads no ambient source, so it is held to the rule *)
+  let drbg =
+    lint [ ("lib/hashing/drbg.ml", "Drbg", "let jitter () = Random.float 1.0\n") ]
+  in
+  check_counts "drbg not exempt" drbg ~actionable:1 ~suppressed:0
+
+let test_total_decode () =
+  let o =
+    lint
+      [ ( "lib/wire/fixture.ml",
+          "Fixture",
+          "let explode () = failwith \"boom\"\n\
+           let decode s = if String.length s = 0 then explode () else s\n\
+           let unrelated () = Option.get None\n" );
+      ]
+  in
+  (* [failwith] is flagged because [decode] reaches [explode] through the
+     call graph; [unrelated] is not on any decode path *)
+  check_counts "total-decode" o ~actionable:1 ~suppressed:0;
+  let f = List.hd o.actionable in
+  Alcotest.(check string) "rule id" "TOTAL-DECODE" f.Lint_types.rule;
+  Alcotest.(check string) "construct" "failwith" f.Lint_types.construct;
+  Alcotest.(check string) "binding" "explode" f.Lint_types.binding
+
+let test_taxonomy () =
+  let o =
+    lint
+      [ ( "lib/error/fixture.ml",
+          "Fixture",
+          "let reject () = Error \"empty frame\"\n\
+           let ok () = Error (`Malformed \"ctx\")\n" );
+      ]
+  in
+  (* only the bare-string payload is stringly; the tagged one is typed *)
+  check_counts "taxonomy" o ~actionable:1 ~suppressed:0;
+  Alcotest.(check (list string)) "rule id" [ "TAXONOMY" ] (rules_of o)
+
+let test_no_secret_print () =
+  let o =
+    lint [ ("lib/gsig/fixture.ml", "Fixture", "let dump () = print_endline \"hi\"\n") ]
+  in
+  check_counts "no-secret-print" o ~actionable:1 ~suppressed:0;
+  Alcotest.(check (list string)) "rule id" [ "NO-SECRET-PRINT" ] (rules_of o);
+  (* a pretty-printer aimed at the standard formatter emits as surely *)
+  let pp =
+    lint
+      [ ( "lib/gsig/fixture.ml",
+          "Fixture",
+          "let dump () = Format.pp_print_string Format.std_formatter \"hi\"\n" );
+      ]
+  in
+  Alcotest.(check (list string)) "standard formatter" [ "Format.std_formatter" ]
+    (constructs_of pp);
+  (* a tainted print is one finding, the one with the witness *)
+  let leak =
+    lint
+      [ ("lib/hashing/hkdf.ml", "Hkdf", "let derive (s : string) = s\n");
+        ( "lib/core/leak.ml",
+          "Leak",
+          "let leak () = print_string (Hkdf.derive \"ikm\")\n" );
+      ]
+  in
+  check_counts "tainted print" leak ~actionable:1 ~suppressed:0;
+  Alcotest.(check bool) "with its witness" true
+    ((List.hd leak.actionable).Lint_types.path <> []);
+  (* executables own the terminal *)
+  let main =
+    lint [ ("bin/fixture.ml", "Fixture", "let hello () = print_endline \"hi\"\n") ]
+  in
+  check_counts "print in bin/" main ~actionable:0 ~suppressed:0
+
+let test_clean_fixture () =
+  (* a tag checked in constant time, a length check and a shape check
+     on key material: none is a finding *)
+  let o =
+    lint
+      [ hmac_unit;
+        ( "lib/core/clean.ml",
+          "Clean",
+          "let add a b = a + b\n\
+           let tag_ok k t = Hmac.equal_ct t (Hmac.mac_prepared k [ \"x\" ])\n\
+           let fits key = String.length key = 32\n\
+           let missing kprime = kprime = None\n" );
+      ]
+  in
+  check_counts "clean" o ~actionable:0 ~suppressed:0
+
+let test_catalogue () =
+  (* six rules, one entry each, and every id a fixture in this file
+     produces is one of them *)
+  let ids =
+    List.map (fun (r : Lint_types.rule_info) -> r.ri_id) Lint_typed_rules.catalogue
+  in
+  Alcotest.(check int) "six rules" 6 (List.length (List.sort_uniq compare ids));
+  let produced =
+    List.concat_map
+      (fun units -> rules_of (lint units))
+      [ [ ("lib/net/j.ml", "J", "let j () = Random.bits ()\n") ];
+        [ ("lib/core/d.ml", "D", "let decode s = List.hd s\n") ];
+        [ ("lib/core/e.ml", "E", "let e () = Error \"x\"\n") ];
+        [ ("lib/core/p.ml", "P", "let p () = print_newline ()\n") ];
+        [ hmac_unit; ("lib/core/c.ml", "C", "let c k t = Hmac.mac_prepared k [] = t\n") ];
+        [ ("lib/hashing/hkdf.ml", "Hkdf", "let derive (s : string) = s\n");
+          ("lib/wire/wire.ml", "Wire", "let encode (s : string) = s\n");
+          ("lib/core/w.ml", "W", "let w () = Wire.encode (Hkdf.derive \"\")\n");
+        ];
+      ]
+  in
+  List.iter
+    (fun id -> Alcotest.(check bool) ("catalogued: " ^ id) true (List.mem id ids))
+    produced;
+  Alcotest.(check int) "every rule exercised" 6
+    (List.length (List.sort_uniq compare produced))
+
+(* ------------------------------------------------------------------ *)
+(* Mechanisms                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let mac_check attr =
+  [ hmac_unit;
+    ( "lib/core/fixture.ml",
+      "Fixture",
+      Printf.sprintf
+        "let check k tag =\n\
+        \  (String.equal tag (Hmac.mac_prepared k [ \"x\" ]) [@shs.lint_ignore %S])\n"
+        attr );
+  ]
+
+let test_suppression_attribute () =
+  check_counts "suppressed" (lint (mac_check "NO-POLY-COMPARE")) ~actionable:0
+    ~suppressed:1;
+  (* naming a different rule does not silence this one *)
+  check_counts "wrong rule named" (lint (mac_check "TAXONOMY")) ~actionable:1
+    ~suppressed:0
+
+let test_json_determinism () =
+  let units =
+    mac_check "TAXONOMY"
+    @ [ ("lib/net/jitter.ml", "Jitter", "let jitter () = Random.float 1.0\n");
+        ("lib/error/reject.ml", "Reject", "let reject () = Error \"empty\"\n");
+      ]
+  in
+  let render () =
+    Obs_json.to_string ~pretty:true (Lint_engine.report_json (lint units))
+  in
+  let a = render () and b = render () in
+  Alcotest.(check string) "byte-identical reports" a b;
+  Alcotest.(check bool) "schema tagged" true
+    (match Obs_json.of_string a with
+     | Some doc -> Obs_json.member "schema" doc = Some (Obs_json.Str "shs-lint/3")
+     | None -> false);
+  Alcotest.(check bool) "three findings" true (contains_sub a "\"actionable\": 3")
+
+let test_coverage_guard () =
+  (* a fake root: sources under the linted trees, one outside them, one
+     in a hidden directory; only one of them has a unit *)
+  let root = Filename.temp_dir "shs_lint_cov" "" in
+  let touch rel =
+    let path = Filename.concat root rel in
+    let rec mkdirs d =
+      if not (Sys.file_exists d) then begin
+        mkdirs (Filename.dirname d);
+        Sys.mkdir d 0o755
+      end
+    in
+    mkdirs (Filename.dirname path);
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "")
+  in
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> remove (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> remove root) @@ fun () ->
+  List.iter touch
+    [ "lib/core/a.ml"; "lib/core/a.mli"; "bin/main.ml"; "bench/b.ml";
+      "test/t.ml"; "lib/.hidden/h.ml"; "lib/_opam/o.ml" ];
+  Alcotest.(check (list string)) "discovered"
+    [ "bench/b.ml"; "bin/main.ml"; "lib/core/a.ml" ]
+    (Lint_engine.discover root);
+  Alcotest.(check (list string)) "uncovered"
+    [ "bench/b.ml"; "bin/main.ml" ]
+    (Lint_engine.uncovered root ~covered:[ "lib/core/a.ml" ]);
+  Alcotest.(check (list string)) "fully covered" []
+    (Lint_engine.uncovered root
+       ~covered:[ "bench/b.ml"; "bin/main.ml"; "lib/core/a.ml" ])
+
+(* ------------------------------------------------------------------ *)
+(* Typed pass: in-process fixtures                                     *)
+(* ------------------------------------------------------------------ *)
 
 let cross_module_units =
   [ ("lib/gsig/a.ml", "A", "let gen () = \"k\"\n");
     ("lib/gsig/c.ml", "C", "let pass x = x\n");
-    ("lib/gsig/b.ml", "B", "let leak () = print_string (C.pass (A.gen ()))\n");
+    ("lib/gsig/b.ml", "B", "let leak () = Log.info (C.pass (A.gen ()))\n");
   ]
 
 let test_typed_cross_module () =
@@ -336,14 +319,13 @@ let test_typed_cross_module () =
     Alcotest.(check string) "rule" "NO-SECRET-PRINT" f.Lint_types.rule;
     Alcotest.(check string) "file" "lib/gsig/b.ml" f.Lint_types.file;
     Alcotest.(check string) "binding" "leak" f.Lint_types.binding;
-    Alcotest.(check string) "pass" "typed" f.Lint_types.pass;
     let witness = String.concat " | " f.Lint_types.path in
     Alcotest.(check bool) "witness names the source" true
       (contains_sub witness "A.gen");
     Alcotest.(check bool) "witness crosses through C" true
       (contains_sub witness "C.pass");
     Alcotest.(check bool) "witness reaches the sink" true
-      (contains_sub witness "print_string")
+      (contains_sub witness "Log.info")
   | fs ->
     Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
@@ -356,9 +338,7 @@ let test_typed_recursive_summary () =
         ( "lib/gsig/r.ml",
           "R",
           "let rec churn n x = if n = 0 then x else churn (n - 1) x\n" );
-        ( "lib/gsig/b.ml",
-          "B",
-          "let leak () = print_string (R.churn 3 (A.gen ()))\n" );
+        ("lib/gsig/b.ml", "B", "let leak () = Log.info (R.churn 3 (A.gen ()))\n");
       ]
   in
   match fs with
@@ -377,16 +357,15 @@ let test_typed_suppression_scoping () =
     [ ("lib/gsig/a.ml", "A", "let gen () = \"k\"\n");
       ( "lib/gsig/b.ml",
         "B",
-        Printf.sprintf
-          "let leak () = (print_string (A.gen ()) [@shs.lint_ignore %S])\n" attr
-      );
+        Printf.sprintf "let leak () = (Log.info (A.gen ()) [@shs.lint_ignore %S])\n"
+          attr );
     ]
   in
   (match run_typed (leak "NO-SECRET-PRINT") with
    | [ (_, true) ] -> ()
    | fs ->
      Alcotest.failf "expected one suppressed finding, got %d" (List.length fs));
-  match run_typed (leak "CT-EQ") with
+  match run_typed (leak "TAXONOMY") with
   | [ (_, false) ] -> ()
   | fs ->
     Alcotest.failf "expected one live finding, got %d" (List.length fs)
@@ -398,7 +377,7 @@ let test_typed_secret_attribute () =
     run_typed
       [ ( "lib/gsig/m.ml",
           "M",
-          "let show () = let x = (\"k\" [@shs.secret]) in print_string x\n" );
+          "let show () = let x = (\"k\" [@shs.secret]) in Log.info x\n" );
       ]
   in
   match fs with
@@ -423,7 +402,6 @@ let test_typed_total_decode_cross_module () =
     Alcotest.(check string) "rule" "TOTAL-DECODE" f.Lint_types.rule;
     Alcotest.(check string) "file" "lib/core/h.ml" f.Lint_types.file;
     Alcotest.(check string) "construct" "failwith" f.Lint_types.construct;
-    Alcotest.(check string) "pass" "typed" f.Lint_types.pass;
     Alcotest.(check bool) "witness names the entry" true
       (contains_sub (String.concat " | " f.Lint_types.path) "decode_frame")
   | fs ->
@@ -519,74 +497,121 @@ let test_typed_prepared_key () =
   | fs ->
     Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
-(* ------------------------------------------------------------------ *)
-(* Determinism                                                         *)
-(* ------------------------------------------------------------------ *)
+(* The [Gcd.mac_valid] shape: the tag comes back from a wrapper around
+   the MAC, its key a plain parameter, and is compared directly, through
+   a comparing helper and after a pass-through; the same tag also goes
+   to the wire and to the Obs log, both of which a sent tag may reach. *)
+let mac_wrapper_units =
+  [ hmac_unit;
+    ("lib/obs/obs.ml", "Obs", "let instant (_ : string) (_ : string) = ()\n");
+    ("lib/wire/wire.ml", "Wire", "let encode ~tag parts = String.concat tag parts\n");
+    ( "lib/core/g.ml",
+      "G",
+      "let mac_phase2 ~tag_key ~sid i =\n\
+      \  Hmac.mac_prepared tag_key [ sid; string_of_int i ]\n\
+       let mac_valid tag_key sid mac j = String.equal mac (mac_phase2 ~tag_key ~sid j)\n\
+       let same a b = String.equal a b\n\
+       let checked tag_key sid mac = same mac (mac_phase2 ~tag_key ~sid 0)\n\
+       let pass x = x\n\
+       let relayed tag_key sid mac = mac = pass (mac_phase2 ~tag_key ~sid 0)\n\
+       let send tag_key sid = Wire.encode ~tag:\"hs2\" [ mac_phase2 ~tag_key ~sid 0 ]\n\
+       let trace tag_key sid = Obs.instant \"gcd.tag\" (mac_phase2 ~tag_key ~sid 0)\n" );
+  ]
 
-let test_json_determinism () =
-  let sources =
-    [ ct_eq_fixture;
-      src "lib/net/fixture.ml" "let jitter () = Random.float 1.0\n";
-      src "lib/error/fixture.ml" "let reject () = Error \"empty\"\n";
-    ]
+let test_typed_mac_wrapper () =
+  let o = lint mac_wrapper_units in
+  check_counts "mac wrapper" o ~actionable:3 ~suppressed:0;
+  Alcotest.(check (list string)) "rules"
+    [ "NO-POLY-COMPARE"; "NO-POLY-COMPARE"; "NO-POLY-COMPARE" ] (rules_of o);
+  Alcotest.(check (list string)) "bindings" [ "mac_valid"; "same"; "relayed" ]
+    (List.map (fun f -> f.Lint_types.binding) o.actionable);
+  let witness f = String.concat " | " f.Lint_types.path in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) "witness names the MAC" true
+        (contains_sub (witness f) "Hmac.mac_prepared (MAC output)"))
+    o.actionable;
+  (* the helper's sink fires through its summary, at the call site *)
+  Alcotest.(check bool) "witness enters the helper" true
+    (contains_sub (witness (List.nth o.actionable 1)) "argument #1 of G.same");
+  Alcotest.(check bool) "witness crosses the pass-through" true
+    (contains_sub (witness (List.nth o.actionable 2)) "argument #0 of G.pass")
+
+let test_typed_emitter_value () =
+  (* an emitter passed as a value prints a mutable field the taint
+     engine cannot follow; NO-SECRET-PRINT rejects the reference *)
+  let code =
+    "type party = { mutable kprime : string option }\n\
+     let show p = Option.iter print_string p.kprime\n"
   in
-  let render () =
-    Obs_json.to_string ~pretty:true (Lint_engine.report_json (run sources))
+  let o = lint [ ("lib/core/party.ml", "Party", code) ] in
+  check_counts "emitter value" o ~actionable:1 ~suppressed:0;
+  Alcotest.(check (list string)) "rule" [ "NO-SECRET-PRINT" ] (rules_of o);
+  Alcotest.(check (list string)) "construct" [ "print_string" ] (constructs_of o);
+  check_counts "emitter value in bench/"
+    (lint [ ("bench/party.ml", "Party", code) ])
+    ~actionable:0 ~suppressed:0
+
+let test_typed_entropy_alias () =
+  (* a module alias and a local open hide the source from a name match;
+     the resolved paths still read Random.int and Sys.time *)
+  let o =
+    lint
+      [ ( "lib/net/clock.ml",
+          "Clock",
+          "module R = Random\n\
+           let roll () = R.int 6\n\
+           let stamp () =\n\
+          \  let open Sys in\n\
+          \  time ()\n" );
+      ]
   in
-  let a = render () and b = render () in
-  Alcotest.(check string) "byte-identical reports" a b;
-  Alcotest.(check bool) "schema tagged" true
-    (match Obs_json.of_string a with
-     | Some doc -> Obs_json.member "schema" doc = Some (Obs_json.Str "shs-lint/2")
-     | None -> false)
+  check_counts "alias and open" o ~actionable:2 ~suppressed:0;
+  Alcotest.(check (list string)) "constructs" [ "Random.int"; "Sys.time" ]
+    (constructs_of o)
+
+let test_typed_qualified_error () =
+  let o =
+    lint
+      [ ( "bench/report.ml",
+          "Report",
+          "let reject n = Result.Error (Printf.sprintf \"bad %d\" n)\n" );
+      ]
+  in
+  check_counts "Result.Error" o ~actionable:1 ~suppressed:0;
+  Alcotest.(check (list string)) "rule" [ "TAXONOMY" ] (rules_of o)
 
 let test_typed_json_determinism () =
   (* the whole pipeline — typecheck, fixpoint, report — twice from
      scratch; hashtable iteration anywhere inside would break this *)
   let render () =
-    let typed = run_typed cross_module_units in
     Obs_json.to_string ~pretty:true
-      (Lint_engine.report_json (run ~typed [ ct_eq_fixture ]))
+      (Lint_engine.report_json
+         (Lint_engine.lint ~config:typed_config
+            (typecheck (log_unit :: cross_module_units))))
   in
   let a = render () and b = render () in
   Alcotest.(check string) "byte-identical typed reports" a b;
   Alcotest.(check bool) "typed finding carries its witness" true
     (contains_sub a "A.gen")
 
-let test_parse_failure_exit_path () =
-  let o = run [ src "lib/core/broken.ml" "let let let\n" ] in
-  Alcotest.(check int) "one parse failure" 1 (List.length o.parse_failures);
-  Alcotest.(check int) "no findings" 0 (List.length o.actionable)
-
 let () =
   Alcotest.run "lint"
     [ ( "rules",
-        [ Alcotest.test_case "CT-EQ fires once" `Quick test_ct_eq;
-          Alcotest.test_case "CT-EQ needs a secret operand" `Quick
-            test_ct_eq_needs_secret_operand;
-          Alcotest.test_case "CT-EQ scope" `Quick test_ct_eq_out_of_scope;
-          Alcotest.test_case "NO-AMBIENT-ENTROPY" `Quick test_entropy;
+        [ Alcotest.test_case "NO-AMBIENT-ENTROPY" `Quick test_entropy;
           Alcotest.test_case "TOTAL-DECODE via call graph" `Quick
             test_total_decode;
           Alcotest.test_case "TAXONOMY" `Quick test_taxonomy;
           Alcotest.test_case "NO-SECRET-PRINT" `Quick test_no_secret_print;
           Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
-          Alcotest.test_case "superseded/catalogue consistency" `Quick
-            test_superseded_catalogue;
+          Alcotest.test_case "catalogue covers every rule" `Quick
+            test_catalogue;
         ] );
       ( "mechanisms",
         [ Alcotest.test_case "suppression attribute" `Quick
             test_suppression_attribute;
-          Alcotest.test_case "baseline round-trip" `Quick
-            test_baseline_roundtrip;
-          Alcotest.test_case "baseline v1 migration" `Quick
-            test_baseline_migration;
-          Alcotest.test_case "baseline pass scoping" `Quick
-            test_baseline_pass_specific;
-          Alcotest.test_case "malformed baseline" `Quick test_baseline_malformed;
           Alcotest.test_case "deterministic JSON" `Quick test_json_determinism;
-          Alcotest.test_case "parse failure surfaces" `Quick
-            test_parse_failure_exit_path;
+          Alcotest.test_case "coverage guard" `Quick test_coverage_guard;
         ] );
       ( "typed",
         [ Alcotest.test_case "cross-module taint A->C->B" `Quick
@@ -605,5 +630,13 @@ let () =
             test_typed_blinding_boundary;
           Alcotest.test_case "a prepared HMAC key is key material" `Quick
             test_typed_prepared_key;
+          Alcotest.test_case "MAC compared through a wrapper" `Quick
+            test_typed_mac_wrapper;
+          Alcotest.test_case "emitter passed as a value" `Quick
+            test_typed_emitter_value;
+          Alcotest.test_case "entropy via alias or open" `Quick
+            test_typed_entropy_alias;
+          Alcotest.test_case "Result.Error with sprintf" `Quick
+            test_typed_qualified_error;
         ] );
     ]
