@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI entry point: full build, test suite, a long sweep of the bigint,
-# hash, DGKA and protocol-level (SPK) property tests (QCHECK_LONG=1
-# multiplies each property's count by its long_factor), the shs_lint
+# hash, DGKA, protocol-level (SPK) and bounded-loss liveness property
+# tests (QCHECK_LONG=1 multiplies each property's count by its
+# long_factor), the shs_lint
 # static-analysis gate — one typed whole-program pass, in-place planted
 # violations proving it can fail, and a JSON-determinism check — a
 # bounds-check scan (no unsafe
@@ -27,6 +28,7 @@ QCHECK_LONG=1 dune exec test/test_bigint.exe
 QCHECK_LONG=1 dune exec test/test_hash.exe
 QCHECK_LONG=1 dune exec test/test_dgka.exe
 QCHECK_LONG=1 dune exec test/test_props.exe
+QCHECK_LONG=1 dune exec test/test_chaos.exe
 
 out=$(mktemp /tmp/shs_bench_XXXXXX.json)
 perturbed=$(mktemp /tmp/shs_perturb_XXXXXX.json)

@@ -49,6 +49,9 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
   let timeouts_counter =
     Obs.counter ~help:"handshake phase timeouts forced by the watchdog"
       "gcd.timeouts"
+  let linger_counter =
+    Obs.counter ~help:"final-phase answers sent by terminal seats to a lagging peer"
+      "gcd.linger_answers"
 
   (* ---------------------------------------------------------------- *)
   (* Group authority and members                                       *)
@@ -238,6 +241,10 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
     p3 : (string * string) option array;
     mutable outcome : Gcd_types.outcome option;
     mutable obs_phase : int;  (* phase currently registered on the gauges *)
+    evidence : int array;
+    (* per peer, the highest phase stamp of a well-formed frame received
+       from it (-1: nothing yet); the watchdog's resend reads it *)
+    answered : bool array;  (* peers a terminal seat has answered *)
   }
 
   let make_party ~role ~self ~n ~fmt ~hooks ~allow_partial ~two_phase ~rng =
@@ -258,6 +265,8 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
       p3 = Array.make n None;
       outcome = None;
       obs_phase = 0;
+      evidence = Array.make n (-1);
+      answered = Array.make n false;
     }
 
   (* Watchdog phase marker: strictly increases as the party progresses,
@@ -475,18 +484,80 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
     let msgs = Obs.span "gcd.handshake.dgka" (fun () -> D.start p.dgka) in
     msgs @ after_dgka_progress p
 
-  let receive p ~src payload =
-    if p.outcome <> None then begin
-      (* terminal: whatever straggles in now — watchdog retransmissions
-         that crossed the finish line, duplicates, adversarial replays —
-         is stale.  Counted, never acted on; the wire behavior (silence)
-         is identical to the pre-hardening code. *)
-      Shs_error.reject ~layer:"gcd" Shs_error.Stale
-        ~args:[ ("party", string_of_int p.self); ("src", string_of_int src) ];
-      []
-    end
-    else
+  (* Phase stamp of a decoded frame: DGKA traffic is 0, the Phase II
+     tag 1 and the Phase III pair 2; a tag frame of the wrong shape has
+     none. *)
+  let stamp_of_frame = function
+    | "hs2", [ _ ] -> Some 1
+    | "hs3", [ _; _ ] -> Some 2
+    | ("hs2" | "hs3"), _ -> None
+    | _ -> Some 0
+
+  let is_peer p src = src >= 0 && src < p.n && src <> p.self
+
+  let note_evidence p ~src frame =
+    match stamp_of_frame frame with
+    | Some q when is_peer p src && q > p.evidence.(src) -> p.evidence.(src) <- q
+    | _ -> ()
+
+  (* the stamp of a seat's last broadcast: its tag in two-phase mode,
+     its (θ, δ) pair otherwise *)
+  let final_phase p = if p.two_phase then 1 else 2
+
+  (* the seat's own frames stamped above [q], re-encoded from what it
+     kept: its tag, then its (θ, δ) pair *)
+  let own_frames_above p q =
+    let hs2 =
+      match p.macs.(p.self) with
+      | Some mac when q < 1 -> [ Wire.encode ~tag:"hs2" [ mac ] ]
+      | _ -> []
+    in
+    let hs3 =
+      match p.p3.(p.self) with
+      | Some (theta, delta) when q < 2 -> [ Wire.encode ~tag:"hs3" [ theta; delta ] ]
+      | _ -> []
+    in
+    hs2 @ hs3
+
+  (* Terminal: whatever straggles in now (retransmissions that crossed
+     the finish line, duplicates, adversarial replays) is stale and
+     counted.  A frame from a peer stamped below this seat's final phase
+     says the peer is still retransmitting an earlier phase, so it may
+     lack this seat's last broadcast, whose copy the channel can have
+     lost.  Like TCP's TIME-WAIT (RFC 9293), the seat answers it once
+     per peer, point to point, with its own frames stamped above the
+     trigger.  The answer reads the trigger and the seat's own frames,
+     never its outcome, so Complete, Partial and Aborted seats answer
+     alike (§7); the once-per-peer bound keeps a replayer from using a
+     finished seat as an amplifier. *)
+  let linger p ~src payload =
+    Shs_error.reject ~layer:"gcd" Shs_error.Stale
+      ~args:[ ("party", string_of_int p.self); ("src", string_of_int src) ];
+    if is_peer p src && not p.answered.(src) then
       match Wire.decode_strict payload with
+      | Error _ -> []
+      | Ok frame ->
+        (match stamp_of_frame frame with
+         | Some q when q < final_phase p ->
+           p.answered.(src) <- true;
+           Obs.incr linger_counter;
+           if Obs.events_enabled () then
+             Obs.instant "gcd.linger"
+               ~args:
+                 [ ("party", string_of_int p.self);
+                   ("peer", string_of_int src) ];
+           List.map (fun msg -> (Some src, msg)) (own_frames_above p q)
+         | Some _ | None -> [])
+    else []
+
+  let receive p ~src payload =
+    if p.outcome <> None then linger p ~src payload
+    else
+      let decoded = Wire.decode_strict payload in
+      (match decoded with
+       | Ok frame -> note_evidence p ~src frame
+       | Error _ -> ());
+      match decoded with
       | Error e ->
         (* Never forward undecodable bytes to the DGKA: one flipped bit
            would permanently poison Phase I even though a watchdog
@@ -627,6 +698,7 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
       dr_force = (fun self -> force_progress parties.(self));
       dr_outcome = (fun self -> outcome parties.(self));
       dr_phase = (fun self -> phase_of parties.(self));
+      dr_peer_phase = (fun self peer -> parties.(self).evidence.(peer));
       dr_obs_phase = (fun self -> parties.(self).obs_phase);
     }
 

@@ -97,6 +97,11 @@ type driver = {
           on missing data); repeated application always terminates it *)
   dr_outcome : int -> outcome option;
   dr_phase : int -> int;  (** watchdog phase marker, 0..3 *)
+  dr_peer_phase : int -> int -> int;
+      (** [dr_peer_phase i j]: seat [i]'s local evidence of peer [j]'s
+          progress, the highest phase stamp of a well-formed frame it
+          has received from [j] (DGKA traffic 0, the Phase II tag 1,
+          the Phase III pair 2), or -1 before [j]'s first frame *)
   dr_obs_phase : int -> int;
       (** phase currently registered on the live-phase gauges *)
 }

@@ -9,9 +9,11 @@
 
    - {e stale-phase eviction}: each frame is stamped with the sender's
      watchdog phase at emission.  Once every peer has provably advanced
-     past phase [ph] (its own marker is higher), frames stamped [< ph]
-     can no longer repair anything — a peer in phase 1 has k' and will
-     never again consume Phase I traffic — so [evict_stale] drops them.
+     past phase [ph] — by local evidence: the sender has received a
+     frame stamped [ph] or later from each of them — frames stamped
+     [< ph] can no longer repair anything (a peer in phase 1 has k' and
+     will never again consume Phase I traffic), so [evict_stale] drops
+     them.
    - {e a hard frame cap}: beyond [cap] frames the oldest are dropped
      regardless of phase.  A resend after a cap eviction repairs less,
      but the forced-progress ladder still terminates every party, so
@@ -88,4 +90,5 @@ let clear t =
   List.iter (forget t) t.frames;
   t.frames <- []
 
-let frames t = List.map (fun f -> (f.f_dst, f.f_payload)) t.frames
+(* oldest first, as (stamp, destination, payload) *)
+let frames t = List.map (fun f -> (f.f_phase, f.f_dst, f.f_payload)) t.frames

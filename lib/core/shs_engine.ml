@@ -36,7 +36,7 @@
      shed or poisoned — leaves the sharded table, clears its inboxes
      and retransmission buffers, and returns its gauge population.
      Copies still in flight to a reaped session reach its terminal
-     seats, which count them stale. *)
+     seats, which count them stale; their answers are dropped. *)
 
 let admitted_counter =
   Obs.counter ~help:"sessions accepted by admission control" "engine.admitted"
@@ -200,16 +200,19 @@ let send s i msgs =
       | Some dst -> Engine.send s.s_net ~src:i ~dst payload)
     msgs
 
-(* Everything a seat says is recorded for retransmission (the state
-   machines ignore exact duplicates, so replay is always safe) until the
-   seat is terminal; see {!Retx} for the bounds. *)
+(* Everything a live seat says is recorded for retransmission (the
+   state machines ignore exact duplicates, so replay is always safe);
+   a terminal seat's buffer is cleared, and its linger answers are not
+   kept.  See {!Retx} for the bounds. *)
 let emit s i msgs =
   if not s.s_finished then begin
-    let phase =
-      match s.s_driver.Gcd_types.dr_phase i with ph -> ph | exception _ -> 3
-    in
-    Retx.record s.s_retx.(i) ~phase msgs;
-    if seat_outcome s i <> None then Retx.clear s.s_retx.(i);
+    if seat_outcome s i = None then begin
+      let phase =
+        match s.s_driver.Gcd_types.dr_phase i with ph -> ph | exception _ -> 3
+      in
+      Retx.record s.s_retx.(i) ~phase msgs
+    end
+    else Retx.clear s.s_retx.(i);
     send s i msgs
   end
 
@@ -274,8 +277,9 @@ let rec drain t s i =
 let install_receiver t s i =
   Engine.set_receiver s.s_net i (fun ~src ~payload ->
       if s.s_finished then begin
-        (* straggler into a reaped session: a terminal seat only counts
-           it stale; a seat abandoned mid-force is not entered again *)
+        (* straggler into a reaped session: a terminal seat counts it
+           stale and whatever it answers is dropped; a seat abandoned
+           mid-force is not entered again *)
         if seat_outcome s i <> None then
           try ignore (s.s_driver.Gcd_types.dr_receive i ~src ~payload)
           with _ -> ()
@@ -295,16 +299,35 @@ let install_receiver t s i =
         end
       end)
 
-(* Frames below every peer's current phase can repair nothing anymore:
-   drop them, then replay what remains. *)
+(* Resend by local evidence: a peer's evidence is the highest phase
+   stamp of anything seat [i] has received from it, so a peer with
+   evidence above [q] has left phase [q] and no longer waits for [i]'s
+   phase-[q] frames.  Frames stamped below every peer's evidence are
+   dropped; each remaining frame stamped [q] goes only to the peers
+   whose evidence is at most [q]: to nobody if there is none, point to
+   point to one, as one broadcast to two or more — so a resend never
+   costs more than replaying the buffer.  A finished peer that receives
+   a frame stamped below its final phase answers it once (the linger in
+   [Gcd.receive]), which repairs a lost copy of its last broadcast. *)
 let resend s i =
-  let min_peer_phase = ref 3 in
-  for j = 0 to s.s_n - 1 do
-    if j <> i then
-      min_peer_phase := min !min_peer_phase (s.s_driver.Gcd_types.dr_phase j)
-  done;
-  Retx.evict_stale s.s_retx.(i) ~min_peer_phase:!min_peer_phase;
-  let frames = Retx.frames s.s_retx.(i) in
+  let ev =
+    Array.init s.s_n (fun j ->
+        if j = i then max_int else s.s_driver.Gcd_types.dr_peer_phase i j)
+  in
+  Retx.evict_stale s.s_retx.(i) ~min_peer_phase:(Array.fold_left min max_int ev);
+  let lagging q = List.filter (fun j -> ev.(j) <= q) (List.init s.s_n Fun.id) in
+  let frames =
+    List.filter_map
+      (fun (q, dst, payload) ->
+        match dst with
+        | Some j -> if ev.(j) <= q then Some (dst, payload) else None
+        | None ->
+          (match lagging q with
+           | [] -> None
+           | [ j ] -> Some (Some j, payload)
+           | _ :: _ :: _ -> Some (None, payload)))
+      (Retx.frames s.s_retx.(i))
+  in
   Obs.add retransmissions_counter (List.length frames);
   if Obs.events_enabled () then
     Obs.instant "gcd.retransmit"

@@ -9,7 +9,9 @@
     (arrivals past [high_water] are refused with the typed
     [Shs_error.Overloaded] rejection), bounded per-seat inboxes with
     backpressure, per-seat watchdog retransmission over bounded
-    {!Retx} buffers, deadline-based load shedding to the §7
+    {!Retx} buffers (targeted by each seat's local evidence of its
+    peers' progress, [Gcd_types.dr_peer_phase]), deadline-based load
+    shedding to the §7
     indistinguishable abort, and hard poisoned-session isolation: an
     exception escaping one session's state machines aborts and reaps
     that session only.

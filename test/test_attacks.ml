@@ -121,24 +121,30 @@ let test_ria_cross_session_replay () =
 (* Resistance to detection / indistinguishability (RDA, INDeav)        *)
 (* ------------------------------------------------------------------ *)
 
-(* Record the wire view (lengths and tags only — what an eavesdropper's
-   distinguisher gets before cryptanalysis). *)
-let wire_shape () =
+(* Record the wire view (per copy: link, tag and field lengths — what an
+   eavesdropper's distinguisher gets before cryptanalysis).  [drop =
+   (src, dst, tag)] also drops that link's first copy of that tag. *)
+let wire_shape ?drop () =
   let log = ref [] in
+  let dropped = ref false in
   let tap ~src ~dst ~payload =
-    if dst = src + 1000 then Engine.Deliver (* never *)
-    else begin
-      (match Wire.decode payload with
-       | Some (tag, fields) ->
-         log := (src, tag, List.map String.length fields) :: !log
-       | None -> log := (src, "?", [ String.length payload ]) :: !log);
-      Engine.Deliver
-    end
+    let tag, lens =
+      match Wire.decode payload with
+      | Some (tag, fields) -> (tag, List.map String.length fields)
+      | None -> ("?", [ String.length payload ])
+    in
+    log := ((src, dst), tag, lens) :: !log;
+    match drop with
+    | Some (s, d, t) when (not !dropped) && s = src && d = dst && t = tag ->
+      dropped := true;
+      Engine.Drop
+    | Some _ | None -> Engine.Deliver
   in
   (tap, log)
 
-let shape_of log =
-  List.rev_map (fun (src, tag, lens) -> (src, tag, lens)) !log
+let shape_of log = List.rev !log
+
+let shape = Alcotest.(list (triple (pair int int) string (list int)))
 
 let test_detection_resistance_shape () =
   (* the adversary's wire view of (i) a real handshake between members
@@ -165,8 +171,7 @@ let test_detection_resistance_shape () =
     Scheme_sig.Scheme1.run_session ~adversary:tap2 ~allow_partial:false
       ~fmt:(W1.fmt w) parts_sim
   in
-  Alcotest.(check (list (triple int string (list int)))) "wire shapes equal"
-    (shape_of log1) (shape_of log2)
+  Alcotest.check shape "wire shapes equal" (shape_of log1) (shape_of log2)
 
 let test_eavesdropper_indistinguishability () =
   (* success vs failure: identical wire shape *)
@@ -185,8 +190,93 @@ let test_eavesdropper_indistinguishability () =
     Scheme_sig.Scheme1.run_session ~adversary:tap2 ~allow_partial:false
       ~fmt:(W1.fmt w) parts
   in
-  Alcotest.(check (list (triple int string (list int))))
-    "success and failure shapes equal" (shape_of log1) (shape_of log2)
+  Alcotest.check shape "success and failure shapes equal" (shape_of log1)
+    (shape_of log2)
+
+(* §7's indistinguishable abort covers the linger: seat 0's Phase III
+   copy to seat 1 is lost, seat 1 retransmits, and the finished seat 0
+   answers it once.  The answer reads the trigger and seat 0's own
+   frames, never its outcome, so the wire shows the same thing whether
+   every seat is a member (seat 0 Complete), an outsider sits at seat 2
+   (seat 0 Partial) or seat 0 is the outsider (seat 0 Aborted). *)
+let test_linger_shape () =
+  let w = W1.create 307 in
+  let _ = W1.populate w [ "a"; "b"; "c" ] in
+  let member uid = Scheme_sig.Scheme1.participant_of_member (W1.member w uid) in
+  let lingering parts =
+    let answers = Obs.counter "gcd.linger_answers" in
+    let before = Obs.value answers in
+    let tap, log = wire_shape ~drop:(0, 1, "hs3") () in
+    let r =
+      Scheme_sig.Scheme1.run_session ~adversary:tap
+        ~watchdog:Gcd_types.default_watchdog ~fmt:(W1.fmt w) parts
+    in
+    Alcotest.(check int) "seat 0 answered once" 1 (Obs.value answers - before);
+    (r, shape_of log)
+  in
+  let r, members = lingering [| member "a"; member "b"; member "c" |] in
+  Alcotest.(check bool) "the answer repaired seat 1" true
+    ((outcome r 1).Gcd_types.termination = Gcd_types.Complete);
+  Alcotest.(check int) "seat 0's Phase III went to seat 1 twice" 2
+    (List.length (List.filter (fun (l, t, _) -> l = (0, 1) && t = "hs3") members));
+  let _, outsider_peer =
+    lingering [| member "a"; member "b"; Scheme_sig.Scheme1.outsider ~rng:(rng_of 3071) |]
+  in
+  let _, outsider_lingers =
+    lingering [| Scheme_sig.Scheme1.outsider ~rng:(rng_of 3072); member "b"; member "c" |]
+  in
+  Alcotest.check shape "outsider at seat 2" members outsider_peer;
+  Alcotest.check shape "lingering seat is the outsider" members outsider_lingers
+
+(* A replayer draws at most one answer per peer out of a finished seat:
+   a tap captures seat 1's bd1 to seat 0, and once the session is over
+   it is replayed into seat 0 ten times. *)
+let test_linger_answers_once () =
+  let ga = Scheme1.default_authority ~rng:(rng_of 308) () in
+  let admit uid seed =
+    Option.get (Scheme1.admit ga ~uid ~member_rng:(rng_of seed))
+  in
+  let a, _ = admit "a" 3081 in
+  let b, upd_b = admit "b" 3082 in
+  let c, upd_c = admit "c" 3083 in
+  assert (Scheme1.update a upd_b && Scheme1.update a upd_c && Scheme1.update b upd_c);
+  let d =
+    Scheme1.engine_driver ~fmt:(Scheme1.default_format ga)
+      (Array.map Scheme1.participant_of_member [| a; b; c |])
+  in
+  let stale = ref None in
+  let tap ~src ~dst ~payload =
+    (match Wire.decode payload with
+     | Some ("bd1", _) when src = 1 && dst = 0 && Option.is_none !stale ->
+       stale := Some payload
+     | Some _ | None -> ());
+    Engine.Deliver
+  in
+  let engine = Shs_engine.create () in
+  ignore (Shs_engine.submit engine ~adversary:tap (fun () -> d));
+  Shs_engine.run engine;
+  Alcotest.(check bool) "seat 0 finished" true
+    (Option.is_some (d.Gcd_types.dr_outcome 0));
+  let answers = Obs.counter "gcd.linger_answers" in
+  let stale_count = Obs.counter "gcd.rejected.stale" in
+  let before = Obs.value answers and before_stale = Obs.value stale_count in
+  let replies =
+    List.init 10 (fun _ ->
+        d.Gcd_types.dr_receive 0 ~src:1 ~payload:(Option.get !stale))
+  in
+  let tags msgs =
+    List.map
+      (fun (dst, p) ->
+        (dst, match Wire.decode p with Some (t, _) -> t | None -> "?"))
+      msgs
+  in
+  Alcotest.(check (list (list (pair (option int) string))))
+    "one answer, point to point: seat 0's tag and Phase III pair"
+    ([ (Some 1, "hs2"); (Some 1, "hs3") ] :: List.init 9 (fun _ -> []))
+    (List.map tags replies);
+  Alcotest.(check int) "gcd.linger_answers" 1 (Obs.value answers - before);
+  Alcotest.(check int) "every replay counted stale" 10
+    (Obs.value stale_count - before_stale)
 
 (* ------------------------------------------------------------------ *)
 (* Unlinkability                                                       *)
@@ -251,7 +341,7 @@ let test_cross_group_shape () =
   let _ = W1.handshake ~adversary:tap1 wa [ "a1"; "a2"; "a3" ] in
   let tap2, log2 = wire_shape () in
   let _ = W1.handshake ~adversary:tap2 wb [ "b1"; "b2"; "b3" ] in
-  Alcotest.(check (list (triple int string (list int))))
+  Alcotest.check shape
     "group A and group B handshakes have identical wire shape"
     (shape_of log1) (shape_of log2)
 
@@ -560,6 +650,10 @@ let () =
             test_eavesdropper_indistinguishability;
           Alcotest.test_case "cross-group shape identity" `Slow
             test_cross_group_shape;
+          Alcotest.test_case "linger shape" `Slow
+            test_linger_shape;
+          Alcotest.test_case "linger answers once" `Slow
+            test_linger_answers_once;
         ] );
       ( "unlinkability",
         [ Alcotest.test_case "across sessions" `Slow test_unlinkability_across_sessions;

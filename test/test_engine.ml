@@ -185,6 +185,7 @@ let test_poisoned_isolation () =
       dr_force = (fun _ -> []);
       dr_outcome = (fun _ -> None);
       dr_phase = (fun _ -> 0);
+      dr_peer_phase = (fun _ _ -> -1);
       dr_obs_phase = (fun _ -> 0);
     }
   in

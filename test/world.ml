@@ -53,10 +53,11 @@ module Make (S : Scheme_sig.SCHEME) = struct
 
   let fmt w = S.default_format w.ga
 
-  let handshake ?faults ?watchdog ?adversary ?latency ?allow_partial w uids =
+  let handshake ?faults ?watchdog ?adversary ?latency ?allow_partial
+      ?two_phase w uids =
     let parts =
       Array.of_list (List.map (fun u -> S.participant_of_member (member w u)) uids)
     in
     S.run_session ?faults ?watchdog ?adversary ?latency ?allow_partial
-      ~fmt:(fmt w) parts
+      ?two_phase ~fmt:(fmt w) parts
 end
