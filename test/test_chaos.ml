@@ -145,13 +145,16 @@ let test_duplication_only_still_completes () =
   Alcotest.(check bool) "duplicates occurred" true
     (r.Gcd_types.stats.Engine.duplicated > 0)
 
+let timeouts () = Obs.value (Obs.counter "gcd.timeouts")
+
 (* Bounded-loss liveness with one drop per link: a tap that draws a
    coin per (src, dst, frame class) and, where it is set, drops that
    link's first copy of that class.  One lost copy per link and class
    is within the watchdog's retransmission budget, and a finished seat
-   answers a lagging peer once, so every seat must complete.  Two drops
-   per link can still take both a copy and the one answer; that case
-   is not covered here. *)
+   answers a lagging peer once, so every seat must complete, and a
+   resend repairs every loss before any phase times out.  Two drops per
+   link can still take both a copy and the one answer; that case is not
+   covered here. *)
 let drop_first_copies ~seed =
   let coins = Drbg.of_int_seed seed in
   let seen = Hashtbl.create 64 in
@@ -169,18 +172,22 @@ let drop_first_copies ~seed =
 let one_drop_per_link_completes seed =
   List.for_all
     (fun (m, two_phase) ->
+      let before = timeouts () in
       let r =
         W.handshake ~adversary:(drop_first_copies ~seed)
           ~watchdog:Gcd_types.default_watchdog ~two_phase (Lazy.force world)
           (List.filteri (fun i _ -> i < m) uids)
       in
-      Array.for_all
-        (function
-          | Some o -> o.Gcd_types.termination = Gcd_types.Complete
-          | None -> false)
-        r.Gcd_types.outcomes
+      (Array.for_all
+         (function
+           | Some o -> o.Gcd_types.termination = Gcd_types.Complete
+           | None -> false)
+         r.Gcd_types.outcomes
       || QCheck2.Test.fail_reportf "m=%d two_phase=%b seed=%d: a seat did not complete"
            m two_phase seed)
+      && (timeouts () = before
+         || QCheck2.Test.fail_reportf "m=%d two_phase=%b seed=%d: %d phase timeouts"
+              m two_phase seed (timeouts () - before)))
     (List.concat_map
        (fun m -> [ (m, true); (m, false) ])
        [ 2; 3; 4; 8 ])
@@ -191,6 +198,45 @@ let test_one_drop_per_link =
     (QCheck2.Test.make ~name:"one drop per link completes"
        ~count:2 ~long_factor:6 ~print:string_of_int QCheck2.Gen.int
        one_drop_per_link_completes)
+
+(* Seat 1's first tag copy to seat 0 is lost, and every peer's (θ, δ)
+   pair reaches seat 0 before seat 1's resend of the tag does.  The tag
+   is seat 0's last missing datum, so its arrival must carry seat 0
+   through Phase III to its outcome at once: the resend lands at 17 and
+   seat 0's pair at its peers at 18, with no phase timing out. *)
+let test_last_tag_after_every_pair () =
+  List.iter
+    (fun m ->
+      let lost = ref false in
+      let adversary ~src ~dst ~payload =
+        match Wire.decode payload with
+        | Some ("hs2", _) when src = 1 && dst = 0 && not !lost ->
+          lost := true;
+          Engine.Drop
+        | _ -> Engine.Deliver
+      in
+      let before = timeouts () in
+      let r =
+        W.handshake ~adversary ~watchdog:Gcd_types.default_watchdog
+          (Lazy.force world)
+          (List.filteri (fun i _ -> i < m) uids)
+      in
+      let label = Printf.sprintf "m=%d" m in
+      Alcotest.(check bool) (label ^ ": the tag copy was dropped") true !lost;
+      Array.iteri
+        (fun i o ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: seat %d" label i)
+            "complete"
+            (match o with
+             | Some o -> Gcd_types.string_of_termination o.Gcd_types.termination
+             | None -> "none"))
+        r.Gcd_types.outcomes;
+      Alcotest.(check int) (label ^ ": no phase timed out") 0
+        (timeouts () - before);
+      Alcotest.(check (float 0.0)) (label ^ ": duration") 18.0
+        r.Gcd_types.duration)
+    [ 2; 3; 4; 8 ]
 
 (* A session whose adversary tap raises must surface the tap's own
    exception, and must not leave population, buffered bytes, in-flight
@@ -233,6 +279,8 @@ let () =
           Alcotest.test_case "crash-stop degrades to partial" `Quick
             test_crash_partial;
           test_one_drop_per_link;
+          Alcotest.test_case "last tag after every pair" `Quick
+            test_last_tag_after_every_pair;
         ] );
       ( "degradation",
         [ Alcotest.test_case "watchdog quiet on clean channel" `Quick
