@@ -146,7 +146,6 @@ let run ?world:prebuilt ?fault_scope ?attack_scope cfg =
           service_time = cfg.service_time;
           deadline = cfg.deadline;
           watchdog = Some Gcd_types.default_watchdog;
-          shards = 16;
         }
       ()
   in
