@@ -60,9 +60,9 @@ let set_receiver t i cb =
   if i < 0 || i >= t.n then invalid_arg "Engine.set_receiver: bad index";
   t.receivers.(i) <- Some cb
 
-let sender_crashed t src =
+let crashed t i =
   match t.faults with
-  | Some f -> Faults.crashed f ~party:src ~now:(Sim.now t.sim)
+  | Some f -> Faults.crashed f ~party:i ~now:(Sim.now t.sim)
   | None -> false
 
 let link_args ~src ~dst =
@@ -166,7 +166,7 @@ let account t ~src payload =
 
 let broadcast t ~src payload =
   if src < 0 || src >= t.n then invalid_arg "Engine.broadcast: bad source";
-  if not (sender_crashed t src) then begin
+  if not (crashed t src) then begin
     account t ~src payload;
     for dst = 0 to t.n - 1 do
       if dst <> src then deliver t ~src ~dst payload
@@ -176,7 +176,7 @@ let broadcast t ~src payload =
 let send t ~src ~dst payload =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Engine.send: bad address";
-  if not (sender_crashed t src) then begin
+  if not (crashed t src) then begin
     account t ~src payload;
     deliver t ~src ~dst payload
   end

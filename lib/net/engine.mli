@@ -74,6 +74,11 @@ val broadcast : t -> src:int -> string -> unit
 
 val send : t -> src:int -> dst:int -> string -> unit
 
+val crashed : t -> int -> bool
+(** Whether the party has crash-stopped under the fault plan by the
+    scheduler's current time: from then on its {!broadcast} and {!send}
+    are no-ops and copies addressed to it are dropped. *)
+
 val start : t -> unit
 (** Mark the engine live (deliveries to receiver-less parties become
     errors) without running the scheduler — for engines on a shared
