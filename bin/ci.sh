@@ -46,6 +46,7 @@ prom=$(mktemp /tmp/shs_prom_XXXXXX.txt)
 lintbad=$(mktemp -d /tmp/shs_lintbad_XXXXXX)
 swarm1=$(mktemp /tmp/shs_swarm1_XXXXXX.txt)
 swarm2=$(mktemp /tmp/shs_swarm2_XXXXXX.txt)
+swarmo=$(mktemp -d /tmp/shs_swarmo_XXXXXX)
 unsafebad=$(mktemp -d /tmp/shs_unsafebad_XXXXXX)
 # put back every file a lint proof patched in place
 unplant () {
@@ -55,7 +56,7 @@ unplant () {
     if [ -f "$backup" ]; then mv "$backup" "$f"; fi
   done
 }
-trap 'unplant; rm -f "$out" "$perturbed" "$trace1" "$trace2" "$fuzz1" "$fuzz2" "$lint1" "$lint2" "$prom" "$swarm1" "$swarm2"; rm -rf "$lintbad" "$prof1" "$prof2" "$dash1" "$dash2" "$unsafebad"' EXIT
+trap 'unplant; rm -f "$out" "$perturbed" "$trace1" "$trace2" "$fuzz1" "$fuzz2" "$lint1" "$lint2" "$prom" "$swarm1" "$swarm2"; rm -rf "$lintbad" "$prof1" "$prof2" "$dash1" "$dash2" "$unsafebad" "$swarmo"' EXIT
 
 echo "== lint gate: zero findings outside inline suppressions =="
 dune build @lint
@@ -230,17 +231,22 @@ dune exec bin/shs_demo.exe -- fuzz --sessions 5 > "$fuzz2"
 cmp "$fuzz1" "$fuzz2"
 grep -q 'all invariants held' "$fuzz1"
 
-echo "== swarm smoke: 1000 concurrent sessions, byte-identical summaries =="
+echo "== swarm smoke: 1000 concurrent sessions, byte-identical summaries and telemetry =="
 # the concurrent-session engine at CI scale: 1000 Poisson arrivals over
 # one scheduler with every 5th session on a lossy channel and every 7th
 # seating a Byzantine adversary.  shs_demo swarm exits nonzero if any
 # untargeted session fails (the isolation gate), and two identically
-# seeded runs must agree to the byte
+# seeded runs must agree to the byte, telemetry included (the per-phase
+# seat series among it).  Both runs export under one prefix, because
+# the summary names the files it wrote
 dune exec bin/shs_demo.exe -- swarm --sessions 1000 --members 4 \
-  --drop-every 5 --byz-every 7 > "$swarm1"
+  --drop-every 5 --byz-every 7 -o "$swarmo/P" > "$swarm1"
+mv "$swarmo/P.csv" "$swarmo/P1.csv"
 dune exec bin/shs_demo.exe -- swarm --sessions 1000 --members 4 \
-  --drop-every 5 --byz-every 7 > "$swarm2"
+  --drop-every 5 --byz-every 7 -o "$swarmo/P" > "$swarm2"
 cmp "$swarm1" "$swarm2"
+cmp "$swarmo/P1.csv" "$swarmo/P.csv"
+grep -q '^seats in phase3,' "$swarmo/P.csv"
 grep -q '1000 submitted, 1000 admitted' "$swarm1"
 grep -q '100% of untargeted sessions complete' "$swarm1"
 
