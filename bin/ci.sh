@@ -12,9 +12,11 @@
 # against the checked-in baseline (plus a perturbation check proving the
 # gate can fail), a bounded protocol-fuzz smoke, a 1000-session
 # concurrent-swarm determinism + isolation smoke, a deterministic
-# trace-export smoke, a byte-identical cost-profile export check, a
-# byte-identical churn-dashboard export check, and the demo's --metrics
-# and --prometheus reports.  Run from the repository root.
+# timeline-export smoke, a byte-identical cost-profile export check, a
+# check that one handshake run with both exports writes what each
+# writes alone, a byte-identical churn-dashboard export check, and the
+# demo's --metrics and --prometheus reports.  Run from the repository
+# root.
 set -eu
 
 echo "== build =="
@@ -237,36 +239,47 @@ echo "== swarm smoke: 1000 concurrent sessions, byte-identical summaries and tel
 # seating a Byzantine adversary.  shs_demo swarm exits nonzero if any
 # untargeted session fails (the isolation gate), and two identically
 # seeded runs must agree to the byte, telemetry included (the per-phase
-# seat series among it).  Both runs export under one prefix, because
-# the summary names the files it wrote
+# seat series among it), though they export under different prefixes
 dune exec bin/shs_demo.exe -- swarm --sessions 1000 --members 4 \
-  --drop-every 5 --byz-every 7 -o "$swarmo/P" > "$swarm1"
-mv "$swarmo/P.csv" "$swarmo/P1.csv"
+  --drop-every 5 --byz-every 7 -o "$swarmo/A" > "$swarm1"
 dune exec bin/shs_demo.exe -- swarm --sessions 1000 --members 4 \
-  --drop-every 5 --byz-every 7 -o "$swarmo/P" > "$swarm2"
+  --drop-every 5 --byz-every 7 -o "$swarmo/B" > "$swarm2"
 cmp "$swarm1" "$swarm2"
-cmp "$swarmo/P1.csv" "$swarmo/P.csv"
-grep -q '^seats in phase3,' "$swarmo/P.csv"
+cmp "$swarmo/A.csv" "$swarmo/B.csv"
+grep -q '^seats in phase3,' "$swarmo/A.csv"
 grep -q '1000 submitted, 1000 admitted' "$swarm1"
 grep -q '100% of untargeted sessions complete' "$swarm1"
 
-echo "== trace smoke: deterministic Chrome trace export =="
-dune exec bin/shs_demo.exe -- trace --drop 0.2 --net-seed 7 -o "$trace1" > /dev/null
-dune exec bin/shs_demo.exe -- trace --drop 0.2 --net-seed 7 -o "$trace2" > /dev/null
+echo "== timeline smoke: deterministic Chrome trace export =="
+dune exec bin/shs_demo.exe -- handshake --drop 0.2 --net-seed 7 \
+  --timeline "$trace1" > /dev/null
+dune exec bin/shs_demo.exe -- handshake --drop 0.2 --net-seed 7 \
+  --timeline "$trace2" > /dev/null
 cmp "$trace1" "$trace2"
 grep -q '"traceEvents"' "$trace1"
 grep -q '"ph": "s"' "$trace1"
 grep -q 'gcd.retransmit' "$trace1"
 
 echo "== profile smoke: byte-identical cost-attribution exports =="
-dune exec bin/shs_demo.exe -- profile --net-seed 7 -o "$prof1/p" > /dev/null
-dune exec bin/shs_demo.exe -- profile --net-seed 7 -o "$prof2/p" > /dev/null
+dune exec bin/shs_demo.exe -- handshake --net-seed 7 --profile "$prof1/p" > /dev/null
+dune exec bin/shs_demo.exe -- handshake --net-seed 7 --profile "$prof2/p" > /dev/null
 cmp "$prof1/p.collapsed" "$prof2/p.collapsed"
 cmp "$prof1/p.speedscope.json" "$prof2/p.speedscope.json"
 grep -q 'gcd.handshake.phase3' "$prof1/p.collapsed"
 grep -q 'spk.eq' "$prof1/p.collapsed"
 grep -q '"exporter": "shs_prof"' "$prof1/p.speedscope.json"
 grep -q '"name": "limb words"' "$prof1/p.speedscope.json"
+
+echo "== one session: a run with both exports writes what each writes alone =="
+# the timeline equals the --timeline run's above and the collapsed
+# stacks equal a --profile run's; the speedscope minor-words profile
+# differs by design, because the event log allocates inside frames
+dune exec bin/shs_demo.exe -- handshake --drop 0.2 --net-seed 7 \
+  --profile "$prof1/lossy" > /dev/null
+dune exec bin/shs_demo.exe -- handshake --drop 0.2 --net-seed 7 \
+  --timeline "$trace2" --profile "$prof2/lossy" > /dev/null
+cmp "$trace1" "$trace2"
+cmp "$prof1/lossy.collapsed" "$prof2/lossy.collapsed"
 
 echo "== obs smoke: shs_demo --metrics =="
 report=$(dune exec bin/shs_demo.exe -- handshake -m 2 --metrics \

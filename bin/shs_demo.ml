@@ -4,12 +4,18 @@
    is a scenario driver, not a daemon.  Subcommands:
 
      handshake   run an m-party handshake (optionally with outsiders,
-                 a cloned member, or a revoked member) and print the
-                 per-party outcomes and traffic statistics
+                 a cloned member, a revoked member, faults or an
+                 adversary) and print the per-party outcomes and traffic
+                 statistics; it also observes that one session: metrics
+                 (--metrics, --prometheus), the event timeline
+                 (--timeline), the cost profile (--profile) and the
+                 authority's tracing (--trace)
      lifecycle   walk a group through joins and revocations, showing
                  epochs and key rotation
-     trace       run a handshake and let the authority trace it
      params      display the embedded cryptographic parameter sets
+     fuzz        drive sessions through the mutation adversary
+     dashboard   churn a CGKD group and export its telemetry
+     swarm       burst concurrent sessions at one engine
 
    plus a persistent mode operating on a state directory (--dir):
 
@@ -56,20 +62,29 @@ let build ~seed ~n =
   { ga2; members = Array.map fst members }
 
 (* ------------------------------------------------------------------ *)
+(* Files                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+(* an export names the file it wrote on stderr, so stdout stays a
+   function of the seeds and flags alone *)
+let export path text =
+  write_file path text;
+  Printf.eprintf "wrote %s\n%!" path
+
+(* ------------------------------------------------------------------ *)
 (* handshake                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let run_handshake scheme m outsiders clone revoke_last seed verbose metrics
-    prometheus prom_out drop duplicate jitter crash net_seed flip forge replay
-    attack_seed =
+    prometheus prom_out timeline profile weight trace drop duplicate jitter
+    crash net_seed flip forge replay attack_seed =
   let metrics = metrics || prometheus in
-  if metrics then begin
-    Obs.set_sink Obs.Memory;
-    (* the event log feeds the retransmission/timeout instant counts in
-       the report; the reset below clears the log again but keeps the
-       flag, so only the session itself is counted *)
-    Obs.set_events true
-  end;
+  let profiled = metrics || profile <> None in
   Printf.printf "Building a group of %d members (512-bit parameters)...\n%!" m;
   let tb = build ~seed ~n:m in
   if revoke_last then begin
@@ -123,25 +138,40 @@ let run_handshake scheme m outsiders clone revoke_last seed verbose metrics
     end
     else None
   in
+  (* the Gcd_types.watchdog policy: graced deadlines against an
+     adversary, the plain ladder on a channel that only fails *)
   let watchdog =
-    if faulty || adversarial then Some Gcd_types.byzantine_watchdog else None
+    if adversarial then Some Gcd_types.byzantine_watchdog
+    else if faulty then Some Gcd_types.default_watchdog
+    else None
   in
-  (* group construction also ticks the registry; reset so the report
-     covers the handshake session alone *)
+  let adversary = Option.map Adversary.tap adv_plan in
+  (* every collector goes on after the group build and off again right
+     after the session, so each export covers the handshake alone and is
+     a pure function of the seeds and flags; the wall clock is read
+     outside that window, where the profiler cannot charge it *)
+  let t0 = Obs.default_clock () in
   if metrics then begin
-    Obs.reset ();
+    Obs.set_sink Obs.Memory;
+    (* the event log feeds the report's retransmission/timeout instant
+       counts; the reset drops what the group build counted *)
+    Obs.set_events true;
+    Obs.reset ()
+  end;
+  if timeline <> None then Obs.set_events true;
+  if profiled then begin
     Prof.reset ();
     Prof.enable ()
   end;
-  let t0 = Obs.default_clock () in
-  let adversary = Option.map Adversary.tap adv_plan in
   let r =
     if scheme = 2 then
       Scheme2.run_session_sd ?faults ?watchdog ?adversary ~gpub ~fmt parts
     else Scheme2.run_session ?faults ?watchdog ?adversary ~fmt parts
   in
+  Prof.disable ();
+  Obs.set_events false;
+  Obs.set_sink Obs.Noop;
   let dt = (Obs.default_clock () -. t0) /. 1e9 in
-  if metrics then Prof.disable ();
   Array.iteri
     (fun i o ->
       match o with
@@ -181,20 +211,39 @@ let run_handshake scheme m outsiders clone revoke_last seed verbose metrics
         Printf.printf "Per-layer rejections:\n";
         List.iter (fun (k, v) -> Printf.printf "  %-36s %6d\n" k v) rej));
   Printf.printf "Wall clock: %.2fs\n" dt;
-  if metrics then begin
-    print_string (Obs.report ());
-    print_string (Prof.report (Prof.snapshot ()))
+  (* GCD.TraceUser: the authority opens the first seat's transcript *)
+  if trace then begin
+    match r.Gcd_types.outcomes.(0) with
+    | Some o when o.Gcd_types.accepted ->
+      Printf.printf "handshake succeeded (sid %s...)\n"
+        (String.sub (Sha256.hex o.Gcd_types.sid) 0 16);
+      Array.iteri
+        (fun i u ->
+          Printf.printf "  position %d opened to: %s\n" i (Option.value ~default:"-" u))
+        (Scheme2.trace_user tb.ga2 ~sid:o.Gcd_types.sid o.Gcd_types.transcript)
+    | _ -> print_endline "handshake failed; per the protocol the transcript is garbage"
   end;
+  let t = Prof.snapshot () in
+  if metrics then print_string (Obs.report ());
+  if profiled then print_string (Prof.report t);
   if prometheus then begin
     let text = Obs.to_prometheus () in
-    match prom_out with
-    | None -> print_string text
-    | Some path ->
-      let oc = open_out_bin path in
-      output_string oc text;
-      close_out oc;
-      Printf.printf "Prometheus exposition written to %s\n" path
+    match prom_out with None -> print_string text | Some path -> export path text
   end;
+  Option.iter
+    (fun path ->
+      export path (Obs_json.to_string ~pretty:true (Obs.to_chrome_trace ()) ^ "\n"))
+    timeline;
+  Option.iter
+    (fun prefix ->
+      export (prefix ^ ".collapsed") (Prof.to_collapsed ~weight t);
+      export (prefix ^ ".speedscope.json")
+        (Obs_json.to_string ~pretty:true
+           (Prof.to_speedscope
+              ~name:(Printf.sprintf "shs_demo m=%d scheme=%d seed=%d" m scheme seed)
+              t)
+        ^ "\n"))
+    profile;
   0
 
 (* ------------------------------------------------------------------ *)
@@ -233,112 +282,6 @@ let run_lifecycle n seed =
         Printf.printf "post-churn 2-party handshake: accepted=%b\n" o.Gcd_types.accepted
       | None -> print_endline "handshake did not complete")
    | _ -> ());
-  0
-
-(* ------------------------------------------------------------------ *)
-(* trace                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let run_trace m seed out drop duplicate jitter net_seed =
-  let tb = build ~seed ~n:m in
-  let fmt = Scheme2.default_format tb.ga2 in
-  let faulty = drop > 0.0 || duplicate > 0.0 || jitter > 0.0 in
-  let faults =
-    if faulty then
-      Some (Faults.create ~drop ~duplicate ~jitter ~seed:net_seed ())
-    else None
-  in
-  let watchdog = if faulty then Some Gcd_types.default_watchdog else None in
-  (* with -o, record the causal event timeline of the session; events go
-     on only now — after the group build — so every event is stamped by
-     the sim clock the session runner installs, making the exported
-     trace a pure function of (seed, net_seed, fault rates): running
-     the same command twice yields byte-identical JSON *)
-  if out <> None then Obs.set_events true;
-  let r =
-    Scheme2.run_session ?faults ?watchdog ~fmt
-      (Array.map Scheme2.participant_of_member tb.members)
-  in
-  (match out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     output_string oc (Obs_json.to_string ~pretty:true (Obs.to_chrome_trace ()));
-     output_char oc '\n';
-     close_out oc;
-     Printf.printf
-       "event timeline written to %s (%d events; load in Perfetto or \
-        chrome://tracing)\n"
-       path
-       (List.length (Obs.events ())));
-  (match r.Gcd_types.outcomes.(0) with
-   | Some o when o.Gcd_types.accepted ->
-     Printf.printf "handshake succeeded (sid %s...)\n"
-       (String.sub (Sha256.hex o.Gcd_types.sid) 0 16);
-     let traced = Scheme2.trace_user tb.ga2 ~sid:o.Gcd_types.sid o.Gcd_types.transcript in
-     Array.iteri
-       (fun i u ->
-         Printf.printf "  position %d opened to: %s\n" i (Option.value ~default:"-" u))
-       traced
-   | _ -> print_endline "handshake failed; per the protocol the transcript is garbage");
-  0
-
-(* ------------------------------------------------------------------ *)
-(* profile                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let run_profile scheme m seed net_seed drop duplicate jitter out weight =
-  Printf.printf "Building a group of %d members (512-bit parameters)...\n%!" m;
-  let tb = build ~seed ~n:m in
-  let fmt = Scheme2.default_format tb.ga2 in
-  let gpub = Scheme2.group_public tb.ga2 in
-  let parts = Array.map Scheme2.participant_of_member tb.members in
-  let faulty = drop > 0.0 || duplicate > 0.0 || jitter > 0.0 in
-  let faults =
-    if faulty then
-      Some (Faults.create ~drop ~duplicate ~jitter ~seed:net_seed ())
-    else None
-  in
-  let watchdog = if faulty then Some Gcd_types.default_watchdog else None in
-  (* the profiler goes on only now, after the group build, so the tree
-     covers the handshake session alone; nothing charged reads a wall
-     clock, so both output files are pure functions of (seed, net_seed,
-     fault rates) — running the same command twice yields byte-identical
-     bytes, which bin/ci.sh checks with cmp *)
-  Prof.reset ();
-  Prof.enable ();
-  let r =
-    if scheme = 2 then Scheme2.run_session_sd ?faults ?watchdog ~gpub ~fmt parts
-    else Scheme2.run_session ?faults ?watchdog ~fmt parts
-  in
-  Prof.disable ();
-  let t = Prof.snapshot () in
-  let accepted =
-    Array.fold_left
-      (fun n o ->
-        match o with Some o when o.Gcd_types.accepted -> n + 1 | _ -> n)
-      0 r.Gcd_types.outcomes
-  in
-  Printf.printf "session complete: %d/%d parties accepted\n" accepted m;
-  let collapsed_path = out ^ ".collapsed" in
-  let speedscope_path = out ^ ".speedscope.json" in
-  let write path s =
-    let oc = open_out_bin path in
-    output_string oc s;
-    close_out oc
-  in
-  write collapsed_path (Prof.to_collapsed ~weight t);
-  write speedscope_path
-    (Obs_json.to_string ~pretty:true
-       (Prof.to_speedscope
-          ~name:(Printf.sprintf "shs_demo m=%d scheme=%d seed=%d" m scheme seed)
-          t)
-    ^ "\n");
-  Printf.printf "collapsed stacks written to %s (feed to flamegraph.pl)\n"
-    collapsed_path;
-  Printf.printf "speedscope profile written to %s (open at speedscope.app)\n"
-    speedscope_path;
-  print_string (Prof.report t);
   0
 
 (* ------------------------------------------------------------------ *)
@@ -431,11 +374,6 @@ module Store = struct
     end
     else None
 
-  let write_file path s =
-    let oc = open_out_bin path in
-    output_string oc s;
-    close_out oc
-
   let ga_path dir = Filename.concat dir "authority.shs"
   let member_path dir uid = Filename.concat dir (Printf.sprintf "member-%s.shs" uid)
   let meta_path dir = Filename.concat dir "meta"
@@ -497,7 +435,7 @@ end
 
 let run_init dir seed =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
-  Store.write_file (Store.meta_path dir) (Printf.sprintf "%d:0" seed);
+  write_file (Store.meta_path dir) (Printf.sprintf "%d:0" seed);
   let ga = Scheme1.default_authority ~rng:(Store.next_rng dir) () in
   Store.save_authority dir ga;
   Printf.printf "initialized group state in %s (scheme 1, 512-bit parameters)\n" dir;
@@ -650,14 +588,8 @@ let run_dashboard scheme capacity tracked events seed cadence out =
     Printf.sprintf "shs churn dashboard: %s, capacity %d, seed %d" C.name
       capacity seed
   in
-  let write path text =
-    let oc = open_out_bin path in
-    output_string oc text;
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  in
-  write (out ^ ".csv") (Obs_series.to_csv s.Churn.recorder);
-  write (out ^ ".html") (Obs_series.to_html ~title s.Churn.recorder);
+  export (out ^ ".csv") (Obs_series.to_csv s.Churn.recorder);
+  export (out ^ ".html") (Obs_series.to_html ~title s.Churn.recorder);
   0
 
 (* ------------------------------------------------------------------ *)
@@ -689,17 +621,11 @@ let run_swarm sessions m mean_gap seed drop drop_every byz_every high_water
   (match out with
    | None -> ()
    | Some prefix ->
-     let write path text =
-       let oc = open_out_bin path in
-       output_string oc text;
-       close_out oc;
-       Printf.printf "wrote %s\n" path
-     in
      let title =
        Printf.sprintf "shs swarm: %d sessions, m=%d, seed %d" sessions m seed
      in
-     write (prefix ^ ".csv") (Obs_series.to_csv s.Swarm.recorder);
-     write (prefix ^ ".html") (Obs_series.to_html ~title s.Swarm.recorder));
+     export (prefix ^ ".csv") (Obs_series.to_csv s.Swarm.recorder);
+     export (prefix ^ ".html") (Obs_series.to_html ~title s.Swarm.recorder));
   if Swarm.isolation_ok s then 0
   else begin
     prerr_endline "isolation violated: an untargeted session failed";
@@ -726,7 +652,11 @@ let metrics_flag =
           "Collect Obs metrics during the session and print the per-phase \
            span/counter report afterwards.")
 
-
+let trace_flag =
+  Arg.(
+    value & flag
+    & info [ "trace" ]
+        ~doc:"Open the transcript as the authority afterwards (GCD.TraceUser).")
 
 let handshake_term =
   let scheme_t =
@@ -795,85 +725,27 @@ let handshake_term =
             "Write the Prometheus exposition to $(docv) instead of stdout \
              (only meaningful with $(b,--prometheus)).")
   in
-  let run debug scheme m outsiders clone revoke seed verbose metrics prometheus
-      prom_out drop duplicate jitter crash net_seed flip forge replay
-      attack_seed =
-    setup_logging debug;
-    if scheme <> 1 && scheme <> 2 then (prerr_endline "scheme must be 1 or 2"; 1)
-    else if m < 2 then (prerr_endline "need at least 2 members"; 1)
-    else
-      try
-        run_handshake scheme m outsiders clone revoke seed verbose metrics
-          prometheus prom_out drop duplicate jitter crash net_seed flip forge
-          replay attack_seed
-      with Invalid_argument msg -> prerr_endline msg; 1
-  in
-  Term.(
-    const run $ verbose_flag $ scheme_t $ m_t $ outsiders_t $ clone_t $ revoke_t
-    $ seed_t $ verbose_t $ metrics_flag $ prometheus_t $ prom_out_t $ drop_t
-    $ duplicate_t $ jitter_t $ crash_t $ net_seed_t $ flip_t $ forge_t
-    $ replay_t $ attack_seed_t)
-
-let handshake_cmd =
-  Cmd.v
-    (Cmd.info "handshake" ~doc:"Run an m-party secret handshake in simulation.")
-    handshake_term
-
-let lifecycle_cmd =
-  let n_t = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Members to admit.") in
-  Cmd.v
-    (Cmd.info "lifecycle" ~doc:"Walk a group through joins and a revocation.")
-    Term.(const run_lifecycle $ n_t $ seed_t)
-
-let trace_cmd =
-  let m_t = Arg.(value & opt int 3 & info [ "m" ] ~doc:"Participants.") in
-  let out_t =
+  let timeline_t =
     Arg.(
       value
       & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
+      & info [ "timeline" ] ~docv:"FILE"
           ~doc:
-            "Also export the session's causal event timeline (per-party \
-             phase spans on sim time, send→receive flow edges, \
-             drop/retransmission instants) as Chrome trace_event JSON, \
-             loadable in Perfetto.  Deterministic: same seeds, same bytes.")
+            "Export the session's causal event timeline (per-party phase \
+             spans on sim time, send→receive flow edges, drop/retransmission \
+             instants) to $(docv) as Chrome trace_event JSON, loadable in \
+             Perfetto.")
   in
-  let drop_t =
-    Arg.(value & opt float 0.0
-         & info [ "drop" ] ~doc:"Per-link message drop probability in [0,1].")
-  in
-  let duplicate_t =
-    Arg.(value & opt float 0.0
-         & info [ "duplicate" ] ~doc:"Message duplication probability in [0,1].")
-  in
-  let jitter_t =
-    Arg.(value & opt float 0.0
-         & info [ "jitter" ] ~doc:"Extra random delivery latency bound.")
-  in
-  let net_seed_t =
-    Arg.(value & opt int 7 & info [ "net-seed" ] ~doc:"Seed for the fault plan's DRBG.")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a handshake, open the transcript as the authority, and \
-          optionally export the event timeline ($(b,-o)).")
-    Term.(
-      const run_trace $ m_t $ seed_t $ out_t $ drop_t $ duplicate_t $ jitter_t
-      $ net_seed_t)
-
-let profile_cmd =
-  let m_t = Arg.(value & opt int 3 & info [ "m"; "members" ] ~doc:"Participants.") in
-  let scheme_t =
-    Arg.(value & opt int 1
-         & info [ "scheme" ] ~doc:"Instantiation: 1 (ACJT) or 2 (KTY).")
-  in
-  let out_t =
-    Arg.(value & opt string "shs_profile"
-         & info [ "o"; "out" ] ~docv:"PREFIX"
-             ~doc:
-               "Output prefix: writes $(docv).collapsed (collapsed-stack \
-                text) and $(docv).speedscope.json.")
+  let profile_t =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "profile" ] ~docv:"PREFIX"
+          ~doc:
+            "Run the session under the cost-attribution profiler and export \
+             the per-phase/per-equation bigint work as $(docv).collapsed \
+             (collapsed stacks, for flamegraph.pl) and \
+             $(docv).speedscope.json.")
   in
   let weight_t =
     Arg.(
@@ -885,42 +757,40 @@ let profile_cmd =
           Prof.Words
       & info [ "weight" ]
           ~doc:
-            "Collapsed-stack weight: $(b,calls) (primitive calls), \
-             $(b,words) (limb-word work estimates, the default) or \
+            "Collapsed-stack weight of $(b,--profile): $(b,calls) (primitive \
+             calls), $(b,words) (limb-word work estimates, the default) or \
              $(b,alloc) (minor-heap words).")
   in
-  let drop_t =
-    Arg.(value & opt float 0.0
-         & info [ "drop" ] ~doc:"Per-link message drop probability in [0,1].")
-  in
-  let duplicate_t =
-    Arg.(value & opt float 0.0
-         & info [ "duplicate" ] ~doc:"Message duplication probability in [0,1].")
-  in
-  let jitter_t =
-    Arg.(value & opt float 0.0
-         & info [ "jitter" ] ~doc:"Extra random delivery latency bound.")
-  in
-  let net_seed_t =
-    Arg.(value & opt int 7 & info [ "net-seed" ] ~doc:"Seed for the fault plan's DRBG.")
-  in
-  let run debug scheme m seed net_seed drop duplicate jitter out weight =
+  let run debug scheme m outsiders clone revoke seed verbose metrics prometheus
+      prom_out timeline profile weight trace drop duplicate jitter crash
+      net_seed flip forge replay attack_seed =
     setup_logging debug;
     if scheme <> 1 && scheme <> 2 then (prerr_endline "scheme must be 1 or 2"; 1)
     else if m < 2 then (prerr_endline "need at least 2 members"; 1)
     else
-      try run_profile scheme m seed net_seed drop duplicate jitter out weight
+      try
+        run_handshake scheme m outsiders clone revoke seed verbose metrics
+          prometheus prom_out timeline profile weight trace drop duplicate
+          jitter crash net_seed flip forge replay attack_seed
       with Invalid_argument msg -> prerr_endline msg; 1
   in
+  Term.(
+    const run $ verbose_flag $ scheme_t $ m_t $ outsiders_t $ clone_t $ revoke_t
+    $ seed_t $ verbose_t $ metrics_flag $ prometheus_t $ prom_out_t
+    $ timeline_t $ profile_t $ weight_t $ trace_flag $ drop_t $ duplicate_t
+    $ jitter_t $ crash_t $ net_seed_t $ flip_t $ forge_t $ replay_t
+    $ attack_seed_t)
+
+let handshake_cmd =
   Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run a handshake under the cost-attribution profiler and export \
-          the per-phase/per-equation bigint work as collapsed stacks and \
-          speedscope JSON.  Deterministic: same seeds, same bytes.")
-    Term.(
-      const run $ verbose_flag $ scheme_t $ m_t $ seed_t $ net_seed_t $ drop_t
-      $ duplicate_t $ jitter_t $ out_t $ weight_t)
+    (Cmd.info "handshake" ~doc:"Run an m-party secret handshake in simulation.")
+    handshake_term
+
+let lifecycle_cmd =
+  let n_t = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Members to admit.") in
+  Cmd.v
+    (Cmd.info "lifecycle" ~doc:"Walk a group through joins and a revocation.")
+    Term.(const run_lifecycle $ n_t $ seed_t)
 
 let params_cmd =
   Cmd.v
@@ -999,7 +869,6 @@ let members_cmd =
 
 let run_cmd =
   let uids_t = Arg.(value & pos_all string [] & info [] ~docv:"UID") in
-  let trace_t = Arg.(value & flag & info [ "trace" ] ~doc:"Open the transcript as the authority afterwards.") in
   let run debug dir trace uids metrics =
     setup_logging debug;
     wrap (fun () -> run_session_cmd dir uids trace metrics)
@@ -1007,7 +876,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run a secret handshake between stored members (default: all active).")
-    Term.(const run $ verbose_flag $ dir_t $ trace_t $ uids_t $ metrics_flag)
+    Term.(const run $ verbose_flag $ dir_t $ trace_flag $ uids_t $ metrics_flag)
 
 let dashboard_cmd =
   let scheme_t =
@@ -1136,8 +1005,7 @@ let main =
   Cmd.group ~default:handshake_term
     (Cmd.info "shs_demo" ~version:"1.0.0"
        ~doc:"Multi-party secret handshakes (GCD framework) demo driver")
-    [ handshake_cmd; lifecycle_cmd; trace_cmd; profile_cmd; params_cmd;
-      fuzz_cmd; dashboard_cmd; swarm_cmd; init_cmd; add_cmd; revoke_cmd;
-      members_cmd; run_cmd ]
+    [ handshake_cmd; lifecycle_cmd; params_cmd; fuzz_cmd; dashboard_cmd;
+      swarm_cmd; init_cmd; add_cmd; revoke_cmd; members_cmd; run_cmd ]
 
 let () = exit (Cmd.eval' main)
