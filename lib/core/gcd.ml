@@ -654,10 +654,6 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
           }
         ()
     in
-    (* event timelines run on the engine's sim clock (installed by
-       [Shs_engine.create]), one trace id per session; the network
-       stamps both into every message envelope *)
-    if Obs.events_enabled () then ignore (Obs.new_trace ());
     Obs.span "gcd.handshake" @@ fun () ->
     let net =
       match

@@ -25,14 +25,13 @@
 
     {b Event tracing.}  When [Obs.set_events true] is in effect, every
     scheduled copy is stamped with a causal edge: the engine mints a
-    flow id at send time, wraps the payload in a {!Wire.wrap_trace}
-    envelope carrying ([trace id], [flow id]), and unwraps it at
-    delivery — recording [Flow_send]/[Flow_recv] events, switching the
-    current track to ["party-<dst>"] before invoking the receiver, and
-    recording [net.drop]/[net.duplicate] instant events for fault
-    outcomes.  Receivers never see the envelope, and with events off no
-    wrapping (and no overhead beyond the counters) happens at all; the
-    flag must not be toggled while deliveries are in flight. *)
+    flow id at send time and keeps it in the scheduled delivery, records
+    [Flow_send] then and [Flow_recv] at arrival, switches the current
+    track to ["party-<dst>"] before invoking the receiver, and records
+    [net.drop]/[net.duplicate] instant events for fault outcomes.
+    Tracing touches no payload byte, so receivers see exactly what was
+    sent whether events are on, off, or switched while copies are in
+    flight. *)
 
 type t
 

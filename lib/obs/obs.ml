@@ -213,8 +213,6 @@ let event_clock = ref default_event_clock
 
 let track_ref = ref "main"
 let next_flow = ref 0
-let next_trace_id = ref 0
-let trace_ctx = ref 0
 
 let set_events b = events_on := b
 let events_enabled () = !events_on
@@ -241,14 +239,6 @@ let flow_send ?(args = []) name =
 
 let flow_recv ?(args = []) ~id name =
   if !events_on then record Flow_recv name ~id ~args
-
-let new_trace () =
-  Stdlib.incr next_trace_id;
-  trace_ctx := !next_trace_id;
-  !next_trace_id
-
-let current_trace () = !trace_ctx
-let set_current_trace i = trace_ctx := i
 
 let events () = List.rev !event_log
 
@@ -383,8 +373,6 @@ let reset () =
   event_log := [];
   event_count := 0;
   next_flow := 0;
-  next_trace_id := 0;
-  trace_ctx := 0;
   track_ref := "main"
 
 (* downstream modules (bigint caches) register cleanup here; obs cannot

@@ -189,18 +189,6 @@ val flow_send : ?args:(string * string) list -> string -> int
 val flow_recv : ?args:(string * string) list -> id:int -> string -> unit
 (** Record the matching edge target. *)
 
-(** {2 Trace context}
-
-    A lightweight (trace id, flow id) pair rides inside message
-    envelopes ({!Wire.wrap_trace}) so deliveries — including duplicates
-    and watchdog retransmissions — stitch into send→receive edges. *)
-
-val new_trace : unit -> int
-(** Mint a fresh trace id and make it current (one per session). *)
-
-val current_trace : unit -> int
-val set_current_trace : int -> unit
-
 val events : unit -> event list
 (** The event log since the last {!reset}, in record order. *)
 
@@ -241,8 +229,8 @@ val manual_clock : ?start:float -> ?step:float -> unit -> unit -> float
 
 val reset : unit -> unit
 (** Zero every counter, clear every histogram, drop the recorded trace
-    and event log, and rewind the flow/trace id counters and current
-    track.  The sink, event flag and clocks are left installed. *)
+    and event log, and rewind the flow id counter and current track.
+    The sink, event flag and clocks are left installed. *)
 
 val reset_all : unit -> unit
 (** {!reset}, then return the configuration to its initial state too:

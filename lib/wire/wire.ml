@@ -80,28 +80,3 @@ let expect ~tag s =
   match decode s with
   | Some (t, fields) when String.equal t tag -> Some fields
   | _ -> None
-
-(* Trace envelopes: the network layer wraps payloads in a "trc" frame
-   carrying (trace id, flow id) so causality survives the wire.  Ids are
-   decimal fields — the envelope reuses the canonical framing, so
-   wrapping stays injective and unwrapping total. *)
-
-let trace_tag = "trc"
-
-(* TOTAL-DECODE suppression: wrap_trace sits on the *send* path — both
-   ids come from the engine's own monotone counters, never off the wire,
-   so the negative-id invalid_arg documents a programmer error rather
-   than a reachable parse of attacker input (unwrap_trace, the receive
-   side, is total). *)
-let[@shs.lint_ignore "TOTAL-DECODE"] wrap_trace ~trace_id ~flow_id payload =
-  if trace_id < 0 || flow_id < 0 then invalid_arg "Wire.wrap_trace: negative id";
-  encode ~tag:trace_tag [ string_of_int trace_id; string_of_int flow_id; payload ]
-
-let unwrap_trace s =
-  match expect ~tag:trace_tag s with
-  | Some [ t; f; payload ] ->
-    (match (int_of_string_opt t, int_of_string_opt f) with
-     | Some trace_id, Some flow_id when trace_id >= 0 && flow_id >= 0 ->
-       Some (trace_id, flow_id, payload)
-     | _ -> None)
-  | _ -> None

@@ -29,18 +29,3 @@ val decode : string -> (string * string list) option
 
 val expect : tag:string -> string -> string list option
 (** Decode and check the tag in one step. *)
-
-(** {1 Trace envelopes}
-
-    When event tracing is on, the network engine wraps every payload in
-    a ["trc"] frame carrying the sender's (trace id, flow id) so each
-    delivery — duplicates and retransmissions included — reconstructs a
-    send→receive causal edge.  Protocol state machines never see the
-    envelope: the engine unwraps before invoking receivers. *)
-
-val wrap_trace : trace_id:int -> flow_id:int -> string -> string
-(** @raise Invalid_argument on a negative id. *)
-
-val unwrap_trace : string -> (int * int * string) option
-(** [(trace_id, flow_id, payload)]; [None] for anything that is not a
-    well-formed trace envelope. *)
