@@ -4,7 +4,7 @@
     how we take that guarantee away on purpose.  A plan bundles four
     fault classes:
 
-    - {b drops}: each transmission is lost with a per-link probability;
+    - {b drops}: each transmission is lost with a fixed probability;
     - {b duplication}: a transmission is delivered twice;
     - {b reordering}: extra per-copy latency jitter, uniform in
       [[0, jitter)], which lets later sends overtake earlier ones;
@@ -20,15 +20,13 @@ type t
 
 val create :
   ?drop:float ->
-  ?drop_link:(src:int -> dst:int -> float) ->
   ?duplicate:float ->
   ?jitter:float ->
   ?crashes:(int * float) list ->
   seed:int ->
   unit ->
   t
-(** [drop] is the uniform per-transmission loss probability (default
-    [0.0]); [drop_link] overrides it with a per-link function.
+(** [drop] is the per-copy loss probability (default [0.0]);
     [duplicate] is the probability a transmission is delivered twice;
     [jitter] the maximum extra latency added to each delivered copy;
     [crashes] a [(party, time)] list of crash-stop faults.
@@ -38,10 +36,10 @@ val create :
 val crashed : t -> party:int -> now:float -> bool
 (** Has [party] crash-stopped at simulated time [now]? *)
 
-val draw_drop : t -> src:int -> dst:int -> bool
-(** Advance the stream by one draw; [true] if this copy is lost.
-    @raise Invalid_argument if a [drop_link] function returns a
-    probability outside [0,1] for this link. *)
+val draw_drop : t -> bool
+(** Advance the stream by one draw; [true] if this copy is lost
+    ([false] — without consuming a draw — when the plan drops
+    nothing). *)
 
 val draw_duplicate : t -> bool
 (** Advance the stream; [true] if this transmission gains a copy. *)
@@ -52,6 +50,3 @@ val draw_jitter : t -> float
 
 val uniform : t -> float
 (** One raw draw in [[0,1)] — exposed for tests. *)
-
-val describe : t -> string
-(** Human-readable one-liner (the demo prints it). *)

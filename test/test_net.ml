@@ -266,24 +266,6 @@ let test_faults_validation () =
     if not (u >= 0.0 && u < 1.0) then Alcotest.fail "uniform out of range"
   done
 
-let test_faults_link_validation () =
-  (* a per-link probability is checked at the draw: a valid link draws
-     exactly as a uniform plan with its probability, an invalid one
-     raises with its label and consumes nothing *)
-  let drop_link ~src ~dst = if src = 2 then -0.5 else if dst = 1 then 0.3 else 0.0 in
-  let f = Faults.create ~drop_link ~seed:5 () and g = Faults.create ~drop:0.3 ~seed:5 () in
-  for i = 1 to 50 do
-    Alcotest.(check bool) (Printf.sprintf "draw %d" i)
-      (Faults.draw_drop g ~src:0 ~dst:1) (Faults.draw_drop f ~src:0 ~dst:1)
-  done;
-  Alcotest.(check bool) "zero-probability link never drops" false
-    (Faults.draw_drop f ~src:1 ~dst:0);
-  Alcotest.check_raises "invalid link"
-    (Invalid_argument "Faults.create: link 2->0 drop probability -0.5 not in [0,1]")
-    (fun () -> ignore (Faults.draw_drop f ~src:2 ~dst:0));
-  Alcotest.(check (float 0.0)) "streams still in step" (Faults.uniform g)
-    (Faults.uniform f)
-
 (* ------------------------------------------------------------------ *)
 (* Wire                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -351,7 +333,6 @@ let () =
           Alcotest.test_case "crash-stop receiver" `Quick test_faults_crash_stop;
           Alcotest.test_case "crash-stop sender" `Quick test_faults_crashed_sender;
           Alcotest.test_case "parameter validation" `Quick test_faults_validation;
-          Alcotest.test_case "per-link validation" `Quick test_faults_link_validation;
         ] );
       ( "wire",
         Alcotest.test_case "roundtrip known" `Quick test_wire_roundtrip_known
