@@ -21,7 +21,8 @@ let attack_seeds = [ 101; 202; 303 ]
    the same DRBG state: [scheme1_world] and [scheme2_world] are the shared
    copies most experiments advance in turn, and a caller that must not
    move them (E3's timed loop runs a speed-dependent number of
-   handshakes) builds a private one. *)
+   handshakes) or must not depend on what moved them (E13's profile)
+   builds a private one. *)
 let build_scheme1_world () =
   let ga = Scheme1.default_authority ~rng:(rng_of 1000) () in
   let members =
