@@ -19,10 +19,10 @@
     minor collections happen.  Major-heap words (promotions included)
     do depend on collection timing, and are reproducible only when the
     whole process history is — which is what [bin/ci.sh] checks by
-    running [shs_demo profile] twice and comparing bytes.  [bin/shs_demo
-    profile] exports the tree as collapsed-stack text (flamegraph.pl
-    compatible) and speedscope JSON; bench e13 turns it into
-    shs-bench/1 series the regression gate tracks.
+    running [shs_demo handshake --profile] twice and comparing bytes.
+    [shs_demo handshake --profile] exports the tree as collapsed-stack
+    text (flamegraph.pl compatible) and speedscope JSON; bench e13 turns
+    it into shs-bench/1 series the regression gate tracks.
 
     The profiler is process-global, like the [Obs] registry it layers
     on.  Charging is O(1) per primitive (two array bumps on the current
