@@ -5,7 +5,14 @@
    deterministic — so a (seed, plan, protocol) triple always produces
    the same drops, duplicates and jitters.  A plan is stateful: reuse
    across engines continues the same stream; create a fresh plan (same
-   seed) to replay a run. *)
+   seed) to replay a run.
+
+   The stream is read 64 uniforms at a time: one 448-byte DRBG request
+   (14 HMAC blocks, well under SP 800-90A's 2^19-bit cap per request)
+   fills a pool, and uniform k of a pool is bytes 7k..7k+6 read
+   big-endian and shifted right 3, 53 bits.  The pool refills only
+   when a 65th uniform is asked for, so a plan that draws nothing
+   generates nothing. *)
 
 type t = {
   drop : float;
@@ -13,7 +20,12 @@ type t = {
   jitter : float;
   crashes : (int * float) list;
   drbg : Drbg.t;
+  mutable pool : string;
+  mutable next : int;  (* index of the next uniform in [pool] *)
 }
+
+let pool_draws = 64
+let draw_bytes = 7
 
 let check_prob what p =
   if not (p >= 0.0 && p <= 1.0) then
@@ -39,17 +51,24 @@ let create ?(drop = 0.0) ?(duplicate = 0.0) ?(jitter = 0.0) ?(crashes = [])
     jitter;
     crashes;
     drbg = Drbg.create ~personalization:"shs-fault-plan" ~seed:(string_of_int seed) ();
+    pool = "";
+    next = pool_draws;
   }
 
 let crashed t ~party ~now =
   List.exists (fun (p, at) -> p = party && now >= at) t.crashes
 
-(* Uniform draw in [0,1) from 53 fresh DRBG bits. *)
+(* Uniform draw in [0,1) from the next 53 bits of the pool. *)
 let uniform t =
-  let b = Drbg.generate t.drbg 7 in
+  if t.next = pool_draws then begin
+    t.pool <- Drbg.generate t.drbg (pool_draws * draw_bytes);
+    t.next <- 0
+  end;
+  let base = draw_bytes * t.next in
+  t.next <- t.next + 1;
   let bits = ref 0 in
-  for i = 0 to 6 do
-    bits := (!bits lsl 8) lor Char.code b.[i]
+  for i = base to base + draw_bytes - 1 do
+    bits := (!bits lsl 8) lor Char.code t.pool.[i]
   done;
   float_of_int (!bits lsr 3) /. 9007199254740992.0 (* 2^53 *)
 

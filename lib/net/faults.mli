@@ -14,7 +14,11 @@
     All draws come from one HMAC-DRBG seeded at [create]; the engine
     consumes the stream in (deterministic) send order, so runs under a
     fault plan are exactly reproducible from the seed.  The plan is
-    stateful — build a fresh one (same seed) to replay a run. *)
+    stateful — build a fresh one (same seed) to replay a run.
+
+    The DRBG is read in pools of 64 uniforms: one 448-byte [generate]
+    (14 HMAC blocks) per pool, taken only when a draw finds the pool
+    spent, so a plan that never draws never generates. *)
 
 type t
 
@@ -49,4 +53,6 @@ val draw_jitter : t -> float
     consuming a draw — when the plan has no jitter). *)
 
 val uniform : t -> float
-(** One raw draw in [[0,1)] — exposed for tests. *)
+(** One raw draw in [[0,1)] — exposed for tests.  Uniform k of a pool
+    is bytes 7k..7k+6 of its 448-byte request, read big-endian and
+    shifted right by 3: a 53-bit integer over 2^53. *)

@@ -318,6 +318,9 @@ let test_drbg_pinned () =
     "c28d4067938e41bf15ecaf76847ffc7a5637446b4e5414c9c66d5ab75870006d"
     (Drbg.generate t 32)
 
+(* Re-recorded when the plan began to read its DRBG in 448-byte pools
+   of 64 uniforms instead of one 7-byte request per uniform: the DRBG
+   stream (pinned above) is unchanged, only how the plan slices it. *)
 let test_fault_stream_pinned () =
   (* the first 1 000 uniforms of one fault plan, as exact hex floats *)
   let f = Faults.create ~drop:0.02 ~seed:1 () in
@@ -326,8 +329,77 @@ let test_fault_stream_pinned () =
     Buffer.add_string b (Printf.sprintf "%h\n" (Faults.uniform f))
   done;
   check_hex "fault-plan stream"
-    "9113804b09b9bc7ec0649be2d7ff3ba301b928444bb27c8b7af9c61b35bac00b"
+    "50fe58487d447a5e0180a8300de47a974e0f87fb376871b95f3a140949c76109"
     (Sha256.digest (Buffer.contents b))
+
+(* The fault plan's stream by its definition: successive 448-byte
+   requests on the plan's DRBG, each cut into 64 seven-byte big-endian
+   words whose top 53 bits make one uniform. *)
+let reference_uniforms ~seed n =
+  let d =
+    Drbg.create ~personalization:"shs-fault-plan" ~seed:(string_of_int seed) ()
+  in
+  let pool = ref "" in
+  List.init n (fun k ->
+      if k mod 64 = 0 then pool := Drbg.generate d 448;
+      let word = ref 0 in
+      String.iter
+        (fun c -> word := (!word lsl 8) lor Char.code c)
+        (String.sub !pool (7 * (k mod 64)) 7);
+      float_of_int (!word lsr 3) /. (2.0 ** 53.0))
+
+let test_fault_stream_reference () =
+  List.iter
+    (fun seed ->
+      let f = Faults.create ~seed () in
+      List.iteri
+        (fun k expected ->
+          let got = Faults.uniform f in
+          if not (Float.equal got expected) then
+            Alcotest.failf "seed %d, uniform %d: %h, reference %h" seed k got
+              expected)
+        (reference_uniforms ~seed 1000))
+    [ 1; 7; 82 ]
+
+(* A draw of a class the plan has (nonzero probability or jitter) takes
+   exactly the next uniform, a draw of any other class takes none: a
+   second plan on the same seed, read with [uniform] only where a draw
+   should consume, predicts every result and ends at the same place. *)
+type draw = Drop | Duplicate | Jitter
+
+let gen_rate = QCheck2.Gen.(oneof [ pure 0.0; float_range 0.0 1.0 ])
+
+let gen_draws =
+  QCheck2.Gen.(
+    tup5 nat gen_rate gen_rate gen_rate
+      (list_size (int_range 0 300) (oneofl [ Drop; Duplicate; Jitter ])))
+
+let print_draws (seed, drop, duplicate, jitter, draws) =
+  Printf.sprintf "seed %d, drop %h, duplicate %h, jitter %h, %d draws" seed
+    drop duplicate jitter (List.length draws)
+
+let fault_draw_props =
+  [ qtest "one uniform per draw of a present class" ~count:200 ~long_factor:20
+      ~print:print_draws gen_draws (fun (seed, drop, duplicate, jitter, draws) ->
+        let plan = Faults.create ~drop ~duplicate ~jitter ~seed () in
+        let shadow = Faults.create ~seed () in
+        let next_if rate = if rate > 0.0 then Faults.uniform shadow else nan in
+        List.for_all
+          (function
+            | Drop ->
+              let u = next_if drop in
+              Bool.equal (Faults.draw_drop plan) (drop > 0.0 && u < drop)
+            | Duplicate ->
+              let u = next_if duplicate in
+              Bool.equal (Faults.draw_duplicate plan)
+                (duplicate > 0.0 && u < duplicate)
+            | Jitter ->
+              let u = next_if jitter in
+              Float.equal (Faults.draw_jitter plan)
+                (if jitter > 0.0 then jitter *. u else 0.0))
+          draws
+        && Float.equal (Faults.uniform plan) (Faults.uniform shadow));
+  ]
 
 let test_negative_lengths () =
   let a = Drbg.create ~seed:"neg" () and b = Drbg.create ~seed:"neg" () in
@@ -368,5 +440,8 @@ let () =
             Alcotest.test_case "update keeps its argument" `Quick
               test_update_keeps_argument;
             Alcotest.test_case "fault-plan stream" `Quick test_fault_stream_pinned;
-          ] );
+            Alcotest.test_case "fault-plan stream by definition" `Quick
+              test_fault_stream_reference;
+          ]
+        @ fault_draw_props );
     ]
