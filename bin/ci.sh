@@ -269,6 +269,15 @@ grep -q 'gcd.handshake.phase3' "$prof1/p.collapsed"
 grep -q 'spk.eq' "$prof1/p.collapsed"
 grep -q '"exporter": "shs_prof"' "$prof1/p.speedscope.json"
 grep -q '"name": "limb words"' "$prof1/p.speedscope.json"
+# the default --scheme 1 signs and verifies with ACJT, --scheme 2 with KTY
+grep -q 'gsig.acjt.verify' "$prof1/p.collapsed"
+if grep -q 'gsig.kty' "$prof1/p.collapsed"; then
+  echo "ci: a --scheme 1 handshake ran KTY frames" >&2
+  exit 1
+fi
+dune exec bin/shs_demo.exe -- handshake --scheme 2 --net-seed 7 \
+  --profile "$prof2/kty" > /dev/null
+grep -q 'gsig.kty.verify' "$prof2/kty.collapsed"
 
 echo "== one session: a run with both exports writes what each writes alone =="
 # the timeline equals the --timeline run's above and the collapsed
