@@ -9,20 +9,29 @@
    The Montgomery kernels (modular exponentiation with an odd modulus)
    spend that headroom differently: they sum a whole output column, up
    to 2k limb products for a k-limb modulus, into one int and carry
-   once per column.  Two limits follow.  A column (2k products below
-   2^52 plus a carry below 2^36) stays below 2^62 only while k <= 511
-   limbs, 13 286-bit moduli; wider odd moduli take the division ladder.
-   And limbs stay 26 bits wide: lazy carries need 2w + log2(2k) <= 62
-   for w-bit limbs, so 28-bit limbs would cap k at 32 (896 bits), below
-   a 1024-bit RSA modulus.  They also work in place: a residue in the
-   domain is exactly k limbs, each product overwrites its destination
-   (which may be an operand) and allocates nothing, and one chain
-   squares and multiplies a single accumulator for [pow_mod] and
-   [pow_mod_multi] alike.  Every term feeds that chain with windows of
-   odd value: a dynamic base by sliding windows over a per-call table
-   of its odd powers, a recurring base through cached tables of 32
-   odd powers per 32-bit exponent chunk (the multi-exponentiation
-   block below).
+   once per column.  For w-bit limbs a column (2k products below
+   2^(2w) plus a carry below 2^(62-w)) stays below 2^62 while
+   2k·2^(2w) + 2^(62-w) <= 2^62.  The domain therefore has limbs of its
+   own, 27 bits wide: at 27 bits the bound allows k <= 127 limbs
+   (3 429-bit moduli), which covers every modulus in use, and a 512-bit
+   modulus takes 19 limbs instead of 20, so (19/20)^2 = 0.90 of the
+   limb products.  Wider odd moduli take the division ladder.  The
+   domain packs 26-bit magnitudes into 27-bit limbs when a context is
+   created and at [to_mont], and unpacks at [from_mont]; the rest of
+   this module stays at 26 bits, because its bounds are stated for them
+   (Lehmer's cofactor sums below, the d < 2^36 contract of [erem_int],
+   algorithm D and the byte conversions).  The kernels also work in
+   place: a residue in the domain is exactly k limbs, each product
+   overwrites its destination (which may be an operand) and allocates
+   nothing, and one chain squares and multiplies a single accumulator
+   for [pow_mod] and [pow_mod_multi] alike.  The multiply sums two
+   output columns per pass, so each limb it loads feeds two products;
+   squaring keeps one column per pass, because a two-column squaring
+   was no faster.  Every term feeds the chain with windows of odd
+   value: a dynamic base by sliding windows over a per-call table of
+   its odd powers, a recurring base through cached tables of 32 odd
+   powers per 32-bit exponent chunk (the multi-exponentiation block
+   below).
 
    The Euclid kernel behind [gcd], [invert] and [jacobi] (Lehmer's
    method, module [Euclid]) spends it a third way: a batch of quotients
@@ -766,14 +775,21 @@ let pow_mod_naive b e m =
 (* and multiplies there, replacing the per-step Knuth division of the  *)
 (* naive ladder.                                                       *)
 (*                                                                     *)
+(* The domain has limbs of its own, 27 bits wide (file header): a      *)
+(* residue is k = ceil(bits(n)/27) limbs, R = 2^(27k).  [create] and   *)
+(* [to_mont] pack 26-bit magnitudes into it, [from_mont] unpacks the   *)
+(* result; nothing else crosses the boundary.                          *)
+(*                                                                     *)
 (* The kernel is product scanning (Koç–Acar–Kaliski's "FIPS" method):  *)
 (* output column i of a·b + m·n is summed into one native int — every  *)
 (* a_j·b_{i-j} and m_j·n_{i-j} product plus the carry in — and the     *)
 (* carry is taken once per column; [max_limbs] keeps a column within a *)
 (* native int (file header).                                           *)
-(* [sqr_into] takes each column's cross products a_j·a_l (j < l) once  *)
-(* and doubles them; it serves every squaring: the shared chain of     *)
-(* [mont_multi] and the table steps of [odd_powers] and [fb_extend].   *)
+(* [mul_into] sums two columns per pass, so each limb it loads feeds   *)
+(* two products.  [sqr_into] takes each column's cross products        *)
+(* a_j·a_l (j < l) once and doubles them; it serves every squaring:    *)
+(* the shared chain of [mont_multi] and the table steps of             *)
+(* [odd_powers] and [grow_chunks].                                     *)
 (*                                                                     *)
 (* Both kernels write their k-limb result in place and allocate        *)
 (* nothing.  Inside the domain a residue is exactly k limbs, a zero    *)
@@ -785,17 +801,47 @@ let pow_mod_naive b e m =
 (* ------------------------------------------------------------------ *)
 
 module Montgomery = struct
+  (* the domain's limb width and mask *)
+  let bits = 27
+  let mask = (1 lsl bits) - 1
+
   type ctx = {
-    n_limbs : int array;  (* modulus magnitude, little-endian *)
+    n_limbs : int array;  (* modulus as k domain limbs, little-endian *)
     k : int;  (* limb count *)
-    n0' : int;  (* -n^{-1} mod base *)
-    r2 : int array;  (* R^2 mod n, R = base^k, as k limbs *)
+    n0' : int;  (* -n^{-1} mod 2^27 *)
+    r2 : int array;  (* R^2 mod n as k limbs *)
     one : int array;  (* 1 as k limbs: the operand of the domain exit *)
     m : int array;  (* scratch: the reduction limbs of the product in flight *)
     modulus : t;
   }
 
-  (* inverse of odd [v] modulo 2^26, by Newton lifting *)
+  (* the limbs [src] of [w_in] bits each, regrouped into [len] limbs of
+     [w_out] bits; [len] must hold every set bit *)
+  let regroup src ~w_in ~w_out len =
+    let dst = Array.make len 0 and out_mask = (1 lsl w_out) - 1 in
+    let acc = ref 0 and held = ref 0 and j = ref 0 in
+    for i = 0 to Array.length src - 1 do
+      acc := !acc lor (src.(i) lsl !held);
+      held := !held + w_in;
+      while !held >= w_out do
+        dst.(!j) <- !acc land out_mask;
+        acc := !acc lsr w_out;
+        held := !held - w_out;
+        incr j
+      done
+    done;
+    if !acc <> 0 then dst.(!j) <- !acc;
+    dst
+
+  (* [x] in [0, 2^(27k)) as k domain limbs *)
+  let pack k x = regroup x.mag ~w_in:limb_bits ~w_out:bits k
+
+  (* domain limbs back to a [Bigint.t] *)
+  let unpack d =
+    let len = ((bits * Array.length d) + limb_bits - 1) / limb_bits in
+    make 1 (regroup d ~w_in:bits ~w_out:limb_bits len)
+
+  (* inverse of odd [v] modulo 2^27, by Newton lifting *)
   let inv_mod_base v =
     let x = ref v in
     (* x_{i+1} = x_i (2 - v x_i); doubling precision each step *)
@@ -804,20 +850,16 @@ module Montgomery = struct
     done;
     !x land mask
 
-  (* the lazy-carry bound: the largest k with 2k·2^52 + 2^36 <= 2^62 *)
-  let max_limbs = 511
+  (* the lazy-carry bound: the largest k with 2k·2^54 + 2^35 <= 2^62 *)
+  let max_limbs = 127
 
   let create modulus =
     assert (modulus.sign > 0 && testbit modulus 0);
-    let n_limbs = modulus.mag in
-    let k = Array.length n_limbs in
+    let k = (num_bits modulus + bits - 1) / bits in
     if k > max_limbs then invalid_arg "Bigint.Montgomery.create: modulus too wide";
-    let inv = inv_mod_base n_limbs.(0) in
-    let n0' = (base - inv) land mask in
-    let r = shift_left one (2 * k * limb_bits) in
-    let r2_v = erem r modulus in
-    let r2 = Array.make k 0 in
-    Array.blit r2_v.mag 0 r2 0 (Array.length r2_v.mag);
+    let n_limbs = pack k modulus in
+    let n0' = ((1 lsl bits) - inv_mod_base n_limbs.(0)) land mask in
+    let r2 = pack k (erem (shift_left one (2 * k * bits)) modulus) in
     let one_k = Array.make k 0 in
     one_k.(0) <- 1;
     { n_limbs; k; n0'; r2; one = one_k; m = Array.make k 0; modulus }
@@ -844,21 +886,52 @@ module Montgomery = struct
   let finish ctx dst c =
     let k = ctx.k and n = ctx.n_limbs in
     dst.(k - 1) <- c land mask;
-    if c lsr limb_bits <> 0 || geq dst n (k - 1) then begin
+    if c lsr bits <> 0 || geq dst n (k - 1) then begin
       let borrow = ref 0 in
       for i = 0 to k - 1 do
         let d = dst.(i) - n.(i) - !borrow in
         dst.(i) <- d land mask;
-        borrow := (d asr limb_bits) land 1
+        borrow := (d asr bits) land 1
       done
     end
 
-  (* dst <- a·b / R mod n *)
+  (* dst <- a·b / R mod n, two columns i and i+1 per pass.  Iteration j
+     loads a_j, m_j, b_{i-j} and n_{i-j} once: their products go into
+     column i, and a_j and m_j times the b and n limbs the iteration
+     before loaded, b_{i+1-j} and n_{i+1-j}, into column i+1.  In the
+     first sweep column i is finished first, so that m_i is chosen
+     before a_i·b_1, a_{i+1}·b_0 and m_i·n_1 join column i+1.  When a
+     sweep has an odd number of columns, its last one goes alone. *)
   let mul_into ctx dst a b =
     charge ctx;
     let k = ctx.k and n = ctx.n_limbs and n0' = ctx.n0' and m = ctx.m in
     let c = ref 0 in
-    for i = 0 to k - 1 do
+    for p = 0 to (k / 2) - 1 do
+      let i = 2 * p in
+      let s0 = ref !c and s1 = ref 0 in
+      let bp = ref b.(i + 1) and np = ref n.(i + 1) in
+      for j = 0 to i - 1 do
+        let aj = a.(j) and mj = m.(j) and bj = b.(i - j) and nj = n.(i - j) in
+        s0 := !s0 + (aj * bj) + (mj * nj);
+        s1 := !s1 + (aj * !bp) + (mj * !np);
+        bp := bj;
+        np := nj
+      done;
+      let ai = a.(i) in
+      let s0 = !s0 + (ai * b.(0)) in
+      let mi = ((s0 land mask) * n0') land mask in
+      m.(i) <- mi;
+      let s1 =
+        !s1 + ((s0 + (mi * n.(0))) lsr bits)
+        + (ai * !bp) + (a.(i + 1) * b.(0)) + (mi * !np)
+      in
+      let mi1 = ((s1 land mask) * n0') land mask in
+      m.(i + 1) <- mi1;
+      c := (s1 + (mi1 * n.(0))) lsr bits
+    done;
+    if k land 1 = 1 then begin
+      (* column k-1 *)
+      let i = k - 1 in
       let s = ref !c in
       for j = 0 to i - 1 do
         s := !s + (a.(j) * b.(i - j)) + (m.(j) * n.(i - j))
@@ -866,16 +939,31 @@ module Montgomery = struct
       let s = !s + (a.(i) * b.(0)) in
       let mi = ((s land mask) * n0') land mask in
       m.(i) <- mi;
-      c := (s + (mi * n.(0))) lsr limb_bits
-    done;
-    for i = k to (2 * k) - 2 do
-      let s = ref !c in
-      for j = i - k + 1 to k - 1 do
-        s := !s + (a.(j) * b.(i - j)) + (m.(j) * n.(i - j))
+      c := (s + (mi * n.(0))) lsr bits
+    end;
+    for p = 0 to ((k - 1) / 2) - 1 do
+      let i = k + (2 * p) in
+      let lo = i - k + 1 in
+      let bp = ref b.(k - 1) and np = ref n.(k - 1) in
+      let s0 = ref (!c + (a.(lo) * !bp) + (m.(lo) * !np)) and s1 = ref 0 in
+      for j = lo + 1 to k - 1 do
+        let aj = a.(j) and mj = m.(j) and bj = b.(i - j) and nj = n.(i - j) in
+        s0 := !s0 + (aj * bj) + (mj * nj);
+        s1 := !s1 + (aj * !bp) + (mj * !np);
+        bp := bj;
+        np := nj
       done;
-      dst.(i - k) <- !s land mask;
-      c := !s lsr limb_bits
+      dst.(i - k) <- !s0 land mask;
+      let s1 = !s1 + (!s0 lsr bits) in
+      dst.(i - k + 1) <- s1 land mask;
+      c := s1 lsr bits
     done;
+    if k land 1 = 0 then begin
+      (* column 2k-2 *)
+      let s = !c + (a.(k - 1) * b.(k - 1)) + (m.(k - 1) * n.(k - 1)) in
+      dst.(k - 2) <- s land mask;
+      c := s lsr bits
+    end;
     finish ctx dst !c
 
   (* dst <- a² / R mod n.  Column i's cross products a_j·a_{i-j} with
@@ -900,7 +988,7 @@ module Montgomery = struct
       let s = !s + (2 * !x) + sq in
       let mi = ((s land mask) * n0') land mask in
       m.(i) <- mi;
-      c := (s + (mi * n.(0))) lsr limb_bits
+      c := (s + (mi * n.(0))) lsr bits
     done;
     for i = k to (2 * k) - 2 do
       let h = ((i + 1) / 2) - 1 in
@@ -915,14 +1003,13 @@ module Montgomery = struct
       let sq = if i land 1 = 0 then a.(i / 2) * a.(i / 2) else 0 in
       let s = !s + (2 * !x) + sq in
       dst.(i - k) <- s land mask;
-      c := s lsr limb_bits
+      c := s lsr bits
     done;
     finish ctx dst !c
 
   (* a fresh residue x·R mod n; [x] must be reduced into [0, n) *)
   let to_mont ctx x =
-    let d = Array.make ctx.k 0 in
-    Array.blit x.mag 0 d 0 (Array.length x.mag);
+    let d = pack ctx.k x in
     mul_into ctx d d ctx.r2;
     d
 
@@ -930,7 +1017,7 @@ module Montgomery = struct
      one multiplication with 1 — no reduction.  Consumes [acc]. *)
   let from_mont ctx acc =
     mul_into ctx acc acc ctx.one;
-    make 1 acc
+    unpack acc
 end
 
 (* The division ladder's fixed 4-bit window. *)
@@ -948,8 +1035,9 @@ let mont_threshold_bits = 64
    and within the lazy-carry bound; every other modulus takes the
    division ladder *)
 let mont_ok m =
-  testbit m 0 && num_bits m >= mont_threshold_bits
-  && Array.length m.mag <= Montgomery.max_limbs
+  let nbits = num_bits m in
+  testbit m 0 && nbits >= mont_threshold_bits
+  && nbits <= Montgomery.max_limbs * Montgomery.bits
 
 (* The pre-Montgomery implementation: windowed ladder with a Knuth
    division after every multiplication.  Still used for the moduli

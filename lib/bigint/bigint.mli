@@ -16,8 +16,9 @@
     be simulated it takes one division step instead.
 
     Values are immutable.  Internally a number is a sign and a little-endian
-    array of 26-bit limbs; all exported operations are total unless
-    documented otherwise. *)
+    array of 26-bit limbs (the Montgomery kernels work on 27-bit limbs of
+    their own); all exported operations are total unless documented
+    otherwise. *)
 
 type t
 
@@ -122,8 +123,9 @@ val mul_mod : t -> t -> t -> t
 val pow_mod : t -> t -> t -> t
 (** [pow_mod b e m] computes [b^e mod m] for [m > 0].  Negative exponents
     are supported when [b] is invertible modulo [m] (the inverse is taken
-    first).  For odd moduli of 64 to 13 286 bits (the common case in
-    this code base; 511 limbs is the kernels' lazy-carry bound) this is
+    first).  For odd moduli of 64 to 3 429 bits (the common case in
+    this code base; 127 limbs of 27 bits is the kernels' lazy-carry
+    bound) this is
     {!pow_mod_multi}'s Montgomery chain with one term and no cached
     table; division-based reduction otherwise.  [b^0 mod 1 = 0].
     @raise Division_by_zero if [m] is zero.
@@ -136,7 +138,7 @@ val pow_mod_naive : t -> t -> t -> t
 val pow_mod_multi : (t * t) list -> t -> t
 (** [pow_mod_multi [(b1, e1); ...] m] is [Π bᵢ^eᵢ mod m] for [m > 0],
     evaluated as one Straus/Shamir simultaneous exponentiation in the
-    Montgomery domain (odd [m] of 64 to 13 286 bits): all terms share a
+    Montgomery domain (odd [m] of 64 to 3 429 bits): all terms share a
     single squaring chain and a single domain exit, each term feeding
     it with sliding windows over a per-call table of its base's odd
     powers.  Bases that recur across calls — the scheme generators

@@ -31,7 +31,12 @@
 
 (** {1 Charging} *)
 
-(** The metered bigint primitives.  [Multi_exp] is one simultaneous
+(** The metered bigint primitives.  A [Mul] is a multiplication: a
+    schoolbook or Karatsuba product charges the product of its operands'
+    26-bit limb counts, a Montgomery product or squaring 2k² words for a
+    modulus of k limbs of the Montgomery domain's 27-bit width, so a
+    512-bit product charges 2·19² (it charged 2·20² on 26-bit limbs,
+    9.7% more, with the work).  [Multi_exp] is one simultaneous
     multi-exponentiation ([Bigint.pow_mod_multi]); its word estimate is
     the summed bit length of the exponents, mirroring [Modexp]'s
     per-call estimate so folded-vs-simultaneous evaluations of the same

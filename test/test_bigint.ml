@@ -1066,24 +1066,82 @@ let many_props =
           (List.map (fun e -> B.pow_mod_div b_ e n) es));
   ]
 
-(* The lazy-carry bound: 511 limbs is the widest modulus the Montgomery
-   kernels accept.  At 512 limbs pow_mod and pow_mod_multi must take the
-   division ladder and build no Montgomery context. *)
+(* ------------------------------------------------------------------ *)
+(* The kernels at the domain's own limb boundaries: moduli of exactly  *)
+(* k limbs of 27 bits, k odd and even so that the column left over by  *)
+(* the two-column multiply runs in each sweep, up to the bound         *)
+(* ------------------------------------------------------------------ *)
+
+let limb27_max = (1 lsl 27) - 1
+
+(* 2^(27k) - 1, 2^(27(k-1)) + 1, or uniform and odd under a top 27-bit
+   limb of 1, 2^27 - 1 or uniform.  At k = 3 the last shapes can fall
+   below the 64-bit Montgomery threshold and take the division ladder. *)
+let gen_modulus27 k =
+  let open QCheck2.Gen in
+  let top = oneof [ pure 1; pure limb27_max; int_range 1 limb27_max ] in
+  oneof
+    [ pure (B.pred (B.shift_left B.one (27 * k)));
+      pure (B.succ (B.shift_left B.one (27 * (k - 1))));
+      map
+        (fun (t, seed) ->
+          let v =
+            B.add
+              (B.shift_left (B.of_int t) (27 * (k - 1)))
+              (B.random_bits (Test_rng.make seed) (27 * (k - 1)))
+          in
+          if B.is_even v then B.succ v else v)
+        (pair top (int_bound max_int)) ]
+
+(* a modulus of k in {3, 4, 19, 20, 21, 38, 127} limbs, a base from
+   {0, 1, n - 1, n - 2, uniform below n} and two to four exponents of 9
+   to 96 bits *)
+let gen_limb27 =
+  let open QCheck2.Gen in
+  let* k = oneofl [ 3; 4; 19; 20; 21; 38; 127 ] in
+  let* n = gen_modulus27 k in
+  let* b_ =
+    oneof
+      [ pure B.zero;
+        pure B.one;
+        pure (B.pred n);
+        pure (B.sub n B.two);
+        map (fun seed -> B.random_below (Test_rng.make seed) n) (int_bound max_int) ]
+  in
+  let* es = list_size (int_range 2 4) (gen_exponent 9 96) in
+  pure (n, b_, es)
+
+let limb27_props =
+  [ qtest "27-bit limbs: pow_mod and multi agree with division ladder"
+      ~count:20 ~long_factor:20 gen_limb27
+      (fun (n, b_, es) -> chains_agree n b_ (List.hd es));
+    qtest "27-bit limbs: pow_mod_many agrees with division ladder"
+      ~count:20 ~long_factor:20 gen_limb27
+      (fun (n, b_, es) ->
+        List.equal B.equal
+          (List.of_seq (B.pow_mod_many b_ es n))
+          (List.map (fun e -> B.pow_mod_div b_ e n) es));
+  ]
+
+(* The lazy-carry bound: 127 limbs of 27 bits (3 429 bits) is the widest
+   modulus the Montgomery kernels accept.  At 3 430 bits pow_mod and
+   pow_mod_multi must take the division ladder and build no Montgomery
+   context. *)
 let test_lazy_carry_bound () =
   let e = b "0xfff" in
   B.reset_caches ();
   List.iter
-    (fun (k, contexts) ->
-      let n = all_ones k in
+    (fun (bits, contexts) ->
+      let n = B.pred (B.shift_left B.one bits) in
       let base = B.sub n B.two in
       let expected = B.pow_mod_div base e n in
-      Alcotest.(check bool) (Printf.sprintf "pow_mod at %d limbs" k) true
+      Alcotest.(check bool) (Printf.sprintf "pow_mod at %d bits" bits) true
         (B.equal (B.pow_mod base e n) expected);
-      Alcotest.(check bool) (Printf.sprintf "pow_mod_multi at %d limbs" k) true
+      Alcotest.(check bool) (Printf.sprintf "pow_mod_multi at %d bits" bits) true
         (B.equal (B.pow_mod_multi [ (base, e) ] n) expected);
-      Alcotest.(check int) (Printf.sprintf "Montgomery contexts after %d limbs" k)
+      Alcotest.(check int) (Printf.sprintf "Montgomery contexts after %d bits" bits)
         contexts (B.mont_cache_size ()))
-    [ (511, 1); (512, 1) ]
+    [ (27 * 127, 1); ((27 * 127) + 1, 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Metering and caching regressions                                     *)
@@ -1226,9 +1284,9 @@ let () =
             Alcotest.test_case "base-1 terms are dropped" `Quick
               test_base_one_dropped ] );
       ( "montgomery-wide",
-        Alcotest.test_case "lazy-carry bound at 511/512 limbs" `Quick
+        Alcotest.test_case "lazy-carry bound at 127/128 limbs" `Quick
           test_lazy_carry_bound
-        :: wide_props );
+        :: wide_props @ limb27_props );
       ( "in-place chains",
         [ Alcotest.test_case "exponents 0, 1, 2^j, 2^j - 1" `Quick
             test_chain_exponent_edges;
