@@ -184,6 +184,7 @@ grep -q '"net.duplicated"' "$out"
 grep -q '"gcd.timeouts"' "$out"
 grep -q '"gcd.retransmissions"' "$out"
 grep -q '"p95"' "$out"
+grep -q '"session duration max (sim)"' "$out"
 grep -q 'net.drop instants' "$out"
 grep -q '"lkh rekey latency p50"' "$out"
 grep -q '"lkh tree size last"' "$out"
