@@ -276,8 +276,8 @@ let e3 () =
   let asig = Acjt.sign ~rng mem ~msg:"e3" in
   let arm mode =
     Bigint.set_multi_mode mode;
-    (* start cold, then warm past the fixed-base use threshold so the
-       measured verify sees steady-state tables *)
+    (* start cold, then warm verifies build the declared bases' tables,
+       so the measured verify sees steady-state tables *)
     Bigint.reset_caches ();
     for _ = 1 to 5 do assert (Acjt.verify mem ~msg:"e3" asig) done;
     Prof.reset ();
@@ -351,7 +351,7 @@ let e3 () =
     assert (Kty.verify !verifier ~msg:"e3" sigma);
     Bigint.mul_count () - c0
   in
-  (* past fb_use_threshold: the generators' tables are built *)
+  (* warm: the generators' tables are built *)
   for _ = 1 to 5 do ignore (verify_muls ()) done;
   Printf.printf "\nKTY verify vs |CRL| (one warm verify, fresh signature):\n%6s %18s\n"
     "|CRL|" "bigint.mul total";

@@ -29,9 +29,9 @@
    squaring keeps one column per pass, because a two-column squaring
    was no faster.  Every term feeds the chain with windows of odd
    value: a dynamic base by sliding windows over a per-call table of
-   its odd powers, a recurring base through cached tables of 32 odd
-   powers per 32-bit exponent chunk (the multi-exponentiation block
-   below).
+   its odd powers, a declared fixed base through tables of 32 odd
+   powers per 32-bit exponent chunk, built on its first use (the
+   registry and the multi-exponentiation block below).
 
    The Euclid kernel behind [gcd], [invert] and [jacobi] (Lehmer's
    method, module [Euclid]) spends it a third way: a batch of quotients
@@ -612,7 +612,6 @@ let testbit t i =
   limb < Array.length t.mag && (t.mag.(limb) lsr bit) land 1 = 1
 
 let is_even t = not (testbit t 0)
-let is_odd t = testbit t 0
 
 let logand a b =
   if a.sign < 0 || b.sign < 0 then invalid_arg "Bigint.logand: negative argument";
@@ -625,8 +624,6 @@ let logand a b =
 (* Modular arithmetic                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let add_mod a b m = erem (add a b) m
-let sub_mod a b m = erem (sub a b) m
 let mul_mod a b m = erem (mul a b) m
 
 (* [a mod d] for 0 < d < 2^36 by Horner's rule over the limbs: the
@@ -812,7 +809,6 @@ module Montgomery = struct
     r2 : int array;  (* R^2 mod n as k limbs *)
     one : int array;  (* 1 as k limbs: the operand of the domain exit *)
     m : int array;  (* scratch: the reduction limbs of the product in flight *)
-    modulus : t;
   }
 
   (* the limbs [src] of [w_in] bits each, regrouped into [len] limbs of
@@ -862,7 +858,7 @@ module Montgomery = struct
     let r2 = pack k (erem (shift_left one (2 * k * bits)) modulus) in
     let one_k = Array.make k 0 in
     one_k.(0) <- 1;
-    { n_limbs; k; n0'; r2; one = one_k; m = Array.make k 0; modulus }
+    { n_limbs; k; n0'; r2; one = one_k; m = Array.make k 0 }
 
   (* Both kernels compute (x + m·n) / R with x = a·b (or a²) in two
      column sweeps.  Columns 0..k-1 choose the limb m_i that clears the
@@ -1061,40 +1057,6 @@ let windowed_div_pow b e m nbits =
   done;
   !acc
 
-(* Caches below are keyed by a cheap int fingerprint (low limb + limb
-   count) instead of a full [equal] scan; the fingerprint is verified
-   with [equal] on every hit, so a collision only costs a rebuild, never
-   a wrong answer.  Both caches are process-global, so they register a
-   reset hook with [Obs] (bottom of this file): [Obs.reset_all] — the
-   bench harness's fixture-isolation point — clears them, keeping every
-   experiment's setup cost charged inside that experiment. *)
-
-let fingerprint m = (Array.length m.mag lsl limb_bits) lxor m.mag.(0)
-
-let mont_cache : (int, t * Montgomery.ctx) Hashtbl.t = Hashtbl.create 8
-
-(* occupancy gauges for the telemetry layer: set wherever either cache
-   changes size, so sampling them is a field read *)
-let mont_cache_gauge =
-  Obs.gauge ~help:"Montgomery context cache entries" "bigint.mont_cache"
-let fb_cache_gauge =
-  Obs.gauge ~help:"fixed-base table cache entries" "bigint.fb_cache"
-let mont_cache_limit = 8
-
-let mont_ctx m =
-  let key = fingerprint m in
-  match Hashtbl.find_opt mont_cache key with
-  | Some (m', ctx) when equal m m' -> ctx
-  | _ ->
-    let ctx = Montgomery.create m in
-    if Hashtbl.length mont_cache >= mont_cache_limit then
-      Hashtbl.reset mont_cache;
-    Hashtbl.replace mont_cache key (m, ctx);
-    Obs.set_gauge mont_cache_gauge (Hashtbl.length mont_cache);
-    ctx
-
-let mont_cache_size () = Hashtbl.length mont_cache
-
 let pow_mod_div b e m =
   if m.sign <= 0 then raise Division_by_zero;
   if e.sign < 0 then invalid_arg "Bigint.pow_mod_div: negative exponent";
@@ -1112,22 +1074,23 @@ let pow_mod_div b e m =
 (*   - A dynamic base gets a per-call table of its odd powers b, b³,   *)
 (*     ..., b^(2^w - 1), and right-to-left sliding windows of width w  *)
 (*     ([slide_width]) over its whole exponent.                        *)
-(*   - A base seen often enough (the scheme generators g, h, a, y ...) *)
-(*     gets a cached table per 32-bit chunk c of its exponent: the 32  *)
-(*     odd powers of base^(2^(32c)).  Windows of width 6 never cross a *)
-(*     chunk boundary, so chunk c's windows land in the chain's last   *)
-(*     32 steps: a fixed term costs about one product per 7 bits and   *)
-(*     shares at most 31 squarings with the rest of the product.       *)
+(*   - A declared base (the scheme generators g, h, a, y ...) or the   *)
+(*     inverse of one gets a table per 32-bit chunk c of its exponent, *)
+(*     built on first use: the 32 odd powers of base^(2^(32c)).        *)
+(*     Windows of width 6 never cross a chunk boundary, so chunk c's   *)
+(*     windows land in the chain's last 32 steps: a fixed term costs   *)
+(*     about one product per 7 bits and shares at most 31 squarings    *)
+(*     with the rest of the product.                                   *)
 (* The accumulator starts empty: the first window is a copy, and no    *)
 (* product with 1 or squaring of 1 is paid.  [pow_mod] is the          *)
-(* one-term case without the cached tables.                            *)
+(* one-term case without the tables.                                   *)
 (* ------------------------------------------------------------------ *)
 
 type multi_mode = Folded | Multi | Multi_fixed
 
 (* ablation switch for bench E3/E8: Folded replays the historical
-   one-pow_mod-per-term evaluation, Multi is Straus without cached
-   tables, Multi_fixed is the default production path *)
+   one-pow_mod-per-term evaluation, Multi is Straus without the
+   declared bases' tables, Multi_fixed is the default production path *)
 let multi_mode_ref = ref Multi_fixed
 let set_multi_mode m = multi_mode_ref := m
 let multi_mode () = !multi_mode_ref
@@ -1140,61 +1103,87 @@ let multi_mode () = !multi_mode_ref
 let fb_stride = 32
 let fb_width = 6
 
-type fb_entry = {
-  fb_base : t;  (* reduced into [0, modulus) *)
-  fb_modulus : t;
-  mutable fb_uses : int;
-  mutable fb_inv : t option;  (* cached modular inverse (negative exponents) *)
-  (* fb_chunks.(c).(i) = base^((2i+1)·2^(fb_stride·c)) in the Montgomery
+(* The registry of declared fixed bases: schemes declare the bases that
+   outlive a session (a group key's generators, the Schnorr g, the
+   tracing key) where the key is built or imported.  A declared modulus
+   keeps its Montgomery context here; any other modulus builds a fresh
+   one per call.  Keyed by value, so a key restored from bytes finds the
+   tables its original built. *)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+  let equal = equal and hash = Hashtbl.hash
+end)
+
+type fixed = {
+  fx_base : t;  (* reduced into [0, modulus) *)
+  mutable fx_inv : fixed option;  (* its inverse, for negative exponents *)
+  (* fx_chunks.(c).(i) = base^((2i+1)·2^(fb_stride·c)) in the Montgomery
      domain: 2^(fb_width-1) = 32 entries of k limbs per 32 exponent bits
-     (the 4-bit window tables this replaces held 15 per 4 bits).  Grown
-     chunk by chunk as longer exponents arrive; the entries are never
-     written once built *)
-  mutable fb_chunks : int array array array;
+     (the 4-bit window tables this replaces held 15 per 4 bits).  Built
+     on first use and grown chunk by chunk as longer exponents arrive;
+     the entries are never written once built *)
+  mutable fx_chunks : int array array array;
 }
 
-let fb_cache : (int, fb_entry) Hashtbl.t = Hashtbl.create 16
-let fb_cache_limit = 32
+type declared = { ctx : Montgomery.ctx; bases : fixed Tbl.t }
 
-(* a base must recur before it earns a table: one-shot bases (session
-   tags, proof targets) stay on the dynamic path *)
-let fb_use_threshold = 4
+let registry : declared Tbl.t = Tbl.create 4
 
-let fb_key b m = fingerprint m lxor (fingerprint b lsl 13)
+let fixed_of b = { fx_base = b; fx_inv = None; fx_chunks = [||] }
 
-let fb_entry b m =
-  let key = fb_key b m in
-  match Hashtbl.find_opt fb_cache key with
-  | Some e when equal e.fb_base b && equal e.fb_modulus m -> e
-  | _ ->
-    if Hashtbl.length fb_cache >= fb_cache_limit then begin
-      (* evict the cold entries (one-shot session tags and proof
-         targets) so the warm generator tables survive the churn; a
-         full reset only if somehow everything is warm *)
-      let cold =
-        Hashtbl.fold
-          (fun k e acc -> if e.fb_uses < fb_use_threshold then k :: acc else acc)
-          fb_cache []
-      in
-      if cold = [] then Hashtbl.reset fb_cache
-      else List.iter (Hashtbl.remove fb_cache) cold
-    end;
-    let e =
-      { fb_base = b; fb_modulus = m; fb_uses = 0; fb_inv = None; fb_chunks = [||] }
+let declare_fixed_bases ~modulus bases =
+  if mont_ok modulus then begin
+    let d =
+      match Tbl.find_opt registry modulus with
+      | Some d -> d
+      | None ->
+        let d = { ctx = Montgomery.create modulus; bases = Tbl.create 8 } in
+        Tbl.add registry modulus d;
+        d
     in
-    Hashtbl.replace fb_cache key e;
-    Obs.set_gauge fb_cache_gauge (Hashtbl.length fb_cache);
-    e
+    (* a base already reduced skips the division: each DGKA instance
+       declares its group's g again *)
+    List.iter
+      (fun b ->
+        let b =
+          if b.sign >= 0 && compare b modulus < 0 then b else erem b modulus
+        in
+        if not (Tbl.mem d.bases b) then Tbl.add d.bases b (fixed_of b))
+      bases
+  end
 
-let fixed_base_cache_size () = Hashtbl.length fb_cache
+let ctx_of m = function Some d -> d.ctx | None -> Montgomery.create m
+let ctx_for m = ctx_of m (Tbl.find_opt registry m)
+let mont_cache_size () = Tbl.length registry
+
+(* every declared base and every inverse taken of one *)
+let fold_fixed f acc =
+  Tbl.fold
+    (fun _ d acc ->
+      Tbl.fold
+        (fun _ fx acc ->
+          let acc = f acc fx in
+          match fx.fx_inv with Some inv -> f acc inv | None -> acc)
+        d.bases acc)
+    registry acc
+
+let fixed_base_cache_size () =
+  fold_fixed (fun n fx -> if Array.length fx.fx_chunks > 0 then n + 1 else n) 0
 
 let fixed_base_table_words () =
-  Hashtbl.fold
-    (fun _ e acc ->
+  fold_fixed
+    (fun acc fx ->
       Array.fold_left
         (Array.fold_left (fun acc x -> acc + Array.length x))
-        acc e.fb_chunks)
-    fb_cache 0
+        acc fx.fx_chunks)
+    0
+
+let reset_caches () = fold_fixed (fun () fx -> fx.fx_chunks <- [||]) ()
+
+(* join the bench harness's fixture-isolation point: [Obs.reset_all]
+   between experiments also drops the built tables *)
+let () = Obs.on_reset reset_caches
 
 (* [p], p³, ..., p^(2n-1): one squaring and n - 1 products; entry 0 is
    [p] itself *)
@@ -1215,8 +1204,8 @@ let chunks_for bits = (bits + fb_stride - 1) / fb_stride
 
 (* [chunks] grown to [nchunks] chunk tables of the 2^(width-1) odd
    powers of base^(2^(32c)) ([base] reduced); chunk c's base is chunk
-   c-1's entry 0 squared 32 times in a copy.  The cached tables and
-   [pow_mod_many]'s per-call table are both built here. *)
+   c-1's entry 0 squared 32 times in a copy.  The declared bases' tables
+   and [pow_mod_many]'s per-call table are both built here. *)
 let grow_chunks ctx ~width base chunks nchunks =
   let cur = Array.length chunks in
   if cur >= nchunks then chunks
@@ -1235,18 +1224,6 @@ let grow_chunks ctx ~width base chunks nchunks =
       grown.(c) <- odd_powers ctx p (1 lsl (width - 1))
     done;
     grown
-  end
-
-(* table lookup for one pair: [Some chunks] once the base has recurred
-   enough to amortize the build, [None] while it stays dynamic *)
-let fb_tables_for ctx b m ebits =
-  let e = fb_entry b m in
-  e.fb_uses <- e.fb_uses + 1;
-  if e.fb_uses < fb_use_threshold then None
-  else begin
-    e.fb_chunks <-
-      grow_chunks ctx ~width:fb_width e.fb_base e.fb_chunks (chunks_for ebits);
-    Some e.fb_chunks
   end
 
 (* A dynamic base's window width: the w that minimises the table's
@@ -1329,21 +1306,24 @@ let run_chain ctx fixed_at dyn =
   Montgomery.from_mont ctx acc
 
 (* Straus/Shamir core: bases reduced, exponents positive, modulus
-   [mont_ok].  A base with cached tables is a chunked term, every other
-   base a dynamic one with a per-call table of its odd powers and
-   sliding windows over its whole exponent.  Nothing allocated per call
-   is longer than the 32 buckets, the odd-power tables and the k-limb
-   residues, so below 257-limb moduli a call stays in the minor heap. *)
-let mont_multi ~fixed_tables m pairs =
-  let ctx = mont_ctx m in
+   [mont_ok].  A term that carries a declared base's entry is a chunked
+   term over its tables, built or grown for the exponent on the way;
+   every other term is dynamic, with a per-call table of its odd powers
+   and sliding windows over its whole exponent.  Nothing else allocated
+   per call is longer than the 32 buckets, the odd-power tables and the
+   k-limb residues, so below 257-limb moduli a call stays in the minor
+   heap. *)
+let mont_multi ctx terms =
   let fixed_at = Array.make fb_stride [] in
   let dyn =
     List.filter_map
-      (fun (b, e) ->
+      (fun (fx, b, e) ->
         let nbits = num_bits e in
-        match if fixed_tables then fb_tables_for ctx b m nbits else None with
-        | Some chunks ->
-          drop_chunked fixed_at chunks ~width:fb_width e;
+        match fx with
+        | Some fx ->
+          fx.fx_chunks <-
+            grow_chunks ctx ~width:fb_width b fx.fx_chunks (chunks_for nbits);
+          drop_chunked fixed_at fx.fx_chunks ~width:fb_width e;
           None
         | None ->
           let w = slide_width nbits in
@@ -1352,7 +1332,7 @@ let mont_multi ~fixed_tables m pairs =
           slide e.mag ~lo:0 ~hi:nbits ~width:w table (fun i x ->
               ws := (i, x) :: !ws);
           Some !ws)
-      pairs
+      terms
     |> Array.of_list
   in
   run_chain ctx fixed_at dyn
@@ -1371,10 +1351,8 @@ let pow_mod_body b e m =
   end
   else if mont_ok m then
     (* odd modulus, real exponent: the Montgomery chain with one dynamic
-       base.  Contexts are cached: a run touches only a handful of
-       moduli (the RSA n, the Schnorr p, ...) and context creation costs
-       a full division. *)
-    mont_multi ~fixed_tables:false m [ (b, e) ]
+       base, on the declared modulus's context or a fresh one *)
+    mont_multi (ctx_for m) [ (None, b, e) ]
   else windowed_div_pow b e m nbits
 
 let rec pow_mod b e m =
@@ -1429,8 +1407,8 @@ let pow_mod_many b es m =
   match if mont_ok m then many_width ~count:(List.length es) bits else None with
   | None -> Seq.map (fun e -> pow_mod b e m) (List.to_seq es)
   | Some width ->
-    let ctx = mont_ctx m in
-    (* built on the first power asked for, never cached past the call *)
+    let ctx = ctx_for m in
+    (* built on the first power asked for, never kept past the call *)
     let chunks = lazy (grow_chunks ctx ~width (erem b m) [||] (chunks_for bits)) in
     Seq.map
       (fun e ->
@@ -1444,6 +1422,16 @@ let pow_mod_many b es m =
         end)
       (List.to_seq es)
 
+(* a declared base's inverse, taken at its first negative exponent and
+   declared with the base: it gets chunk tables of its own *)
+let inverse_of fx m =
+  match fx.fx_inv with
+  | Some inv -> inv
+  | None ->
+    let inv = fixed_of (invert fx.fx_base m) in
+    fx.fx_inv <- Some inv;
+    inv
+
 let pow_mod_multi pairs m =
   if m.sign <= 0 then raise Division_by_zero;
   Obs.incr pow_mod_counter;
@@ -1451,32 +1439,15 @@ let pow_mod_multi pairs m =
     Prof.charge Prof.Multi_exp
       ~words:(List.fold_left (fun a (_, e) -> a + num_bits e) 0 pairs);
   let mode = !multi_mode_ref in
-  let mont_ok = mont_ok m in
-  (* [rb] is the base reduced mod m *)
-  let invert_base rb =
-    let fail () =
-      invalid_arg
-        "Bigint.pow_mod_multi: base not invertible for negative exponent"
-    in
-    if mode = Multi_fixed && mont_ok then begin
-      (* park the inverse on the base's fixed-base entry so recurring
-         negative-exponent terms pay the inversion once, not per call *)
-      if is_zero rb then fail ();
-      let en = fb_entry rb m in
-      (* count the use so a recurring negative-exponent base stays warm
-         and its cached inverse survives cold-entry eviction *)
-      en.fb_uses <- en.fb_uses + 1;
-      match en.fb_inv with
-      | Some i -> i
-      | None ->
-        let i = try invert rb m with Not_found -> fail () in
-        en.fb_inv <- Some i;
-        i
-    end
-    else try invert rb m with Not_found -> fail ()
+  let declared = Tbl.find_opt registry m in
+  (* the entry of a declared base, unless an ablation arm is running *)
+  let fixed rb =
+    match (mode, declared) with
+    | Multi_fixed, Some d -> Tbl.find_opt d.bases rb
+    | _ -> None
   in
   let zero_factor = ref false in
-  let pairs =
+  let terms =
     List.filter_map
       (fun (b, e) ->
         if is_zero e then None
@@ -1485,39 +1456,37 @@ let pow_mod_multi pairs m =
           (* 1^e = 1 for every e, negative ones included: the term goes
              before any inversion and builds no table *)
           if equal rb one then None
-          else begin
-            let b, e = if e.sign < 0 then (invert_base rb, neg e) else (rb, e) in
-            if is_zero b then begin
-              zero_factor := true;
-              None
-            end
-            else Some (b, e)
+          else if e.sign < 0 then begin
+            try
+              match fixed rb with
+              | Some fx ->
+                let inv = inverse_of fx m in
+                Some (Some inv, inv.fx_base, neg e)
+              | None -> Some (None, invert rb m, neg e)
+            with Not_found ->
+              invalid_arg
+                "Bigint.pow_mod_multi: base not invertible for negative exponent"
           end
+          else if is_zero rb then begin
+            zero_factor := true;
+            None
+          end
+          else Some (fixed rb, rb, e)
         end)
       pairs
   in
   if !zero_factor then zero
   else
-    match pairs with
+    match terms with
     | [] -> one_mod m
-    | pairs ->
-      if mode <> Folded && mont_ok then
-        mont_multi ~fixed_tables:(mode = Multi_fixed) m pairs
+    | terms ->
+      if mode <> Folded && mont_ok m then mont_multi (ctx_of m declared) terms
       else
         (* modulus not [mont_ok] (or the Folded ablation arm): fold of
            independent windowed ladders, one mul_mod between terms *)
         List.fold_left
-          (fun acc (b, e) -> mul_mod acc (pow_mod_body b e m) m)
-          (one_mod m) pairs
-let reset_caches () =
-  Hashtbl.reset mont_cache;
-  Hashtbl.reset fb_cache;
-  Obs.set_gauge mont_cache_gauge 0;
-  Obs.set_gauge fb_cache_gauge 0
-
-(* join the bench harness's fixture-isolation point: [Obs.reset_all]
-   between experiments also clears this module's process-global caches *)
-let () = Obs.on_reset reset_caches
+          (fun acc (_, b, e) -> mul_mod acc (pow_mod_body b e m) m)
+          (one_mod m) terms
 
 (* ------------------------------------------------------------------ *)
 (* String and byte conversions                                         *)

@@ -6,7 +6,7 @@
     algorithm-D division, modular exponentiation on in-place,
     allocation-free Montgomery kernels (one squaring chain serves
     {!pow_mod} and {!pow_mod_multi}, fed by sliding windows over odd
-    powers; recurring bases get cached per-32-bit-chunk tables),
+    powers; declared fixed bases get per-32-bit-chunk tables),
     big-endian byte serialization, and one Euclid kernel
     accelerated by Lehmer's method (Knuth algorithm L) that serves
     {!gcd}, {!invert} and {!jacobi}.  The kernel simulates quotients in
@@ -109,15 +109,12 @@ val num_bits : t -> int
 
 val testbit : t -> int -> bool
 val is_even : t -> bool
-val is_odd : t -> bool
 
 val logand : t -> t -> t
 (** Bitwise AND of magnitudes; both arguments must be non-negative. *)
 
 (** {1 Modular arithmetic} *)
 
-val add_mod : t -> t -> t -> t
-val sub_mod : t -> t -> t -> t
 val mul_mod : t -> t -> t -> t
 
 val pow_mod : t -> t -> t -> t
@@ -126,7 +123,7 @@ val pow_mod : t -> t -> t -> t
     first).  For odd moduli of 64 to 3 429 bits (the common case in
     this code base; 127 limbs of 27 bits is the kernels' lazy-carry
     bound) this is
-    {!pow_mod_multi}'s Montgomery chain with one term and no cached
+    {!pow_mod_multi}'s Montgomery chain with one term and no fixed-base
     table; division-based reduction otherwise.  [b^0 mod 1 = 0].
     @raise Division_by_zero if [m] is zero.
     @raise Invalid_argument if [e < 0] and [b] is not invertible mod [m]. *)
@@ -141,14 +138,13 @@ val pow_mod_multi : (t * t) list -> t -> t
     Montgomery domain (odd [m] of 64 to 3 429 bits): all terms share a
     single squaring chain and a single domain exit, each term feeding
     it with sliding windows over a per-call table of its base's odd
-    powers.  Bases that recur across calls — the scheme generators
-    every session reuses — earn cached tables of 32 odd powers per
-    32-bit exponent chunk, after which their windows all fall in the
-    chain's last 32 squarings and cost about one product per 7 exponent
-    bits.  Negative exponents invert the base first
-    (the inverse is cached with the table); pairs with [eᵢ = 0] or
-    [bᵢ ≡ 1] are dropped, the latter before any inversion; the empty
-    product is [1 mod m].
+    powers.  A base declared for [m] ({!declare_fixed_bases}) reads
+    tables of 32 odd powers per 32-bit exponent chunk instead, built at
+    its first use, so its windows all fall in the chain's last 32
+    squarings and cost about one product per 7 exponent bits.  Negative
+    exponents invert the base first (a declared base's inverse gets
+    tables too); pairs with [eᵢ = 0] or [bᵢ ≡ 1] are dropped, the latter
+    before any inversion; the empty product is [1 mod m].
     @raise Division_by_zero if [m] is zero or negative.
     @raise Invalid_argument if some [eᵢ < 0] with [bᵢ] not invertible. *)
 
@@ -162,17 +158,27 @@ val pow_mod_many : t -> t list -> t -> t Seq.t
     squarings; a product-count model picks its window width, or one
     {!pow_mod} per exponent when that costs no more (always for a
     single exponent).  The table lives as long as the sequence and
-    never enters the fixed-base cache.  Each element counts as one
+    never enters the fixed-base registry.  Each element counts as one
     exponentiation in {!pow_mod_count}; reading the sequence twice
     recomputes the powers over the same table.
     @raise Division_by_zero if [m] is zero or negative.
     @raise Invalid_argument if some [eᵢ < 0]. *)
 
+val declare_fixed_bases : modulus:t -> t list -> unit
+(** Registers [bases] as fixed bases of [modulus]: values that outlive
+    a session, such as a group key's generators, declared where the key
+    is built or imported.  {!pow_mod_multi} builds the tables of a
+    declared base, or of its inverse, at their first use.  A declared
+    modulus keeps its Montgomery context; any other builds one per call.
+    The registry is process-wide and keyed by value, so declaring a
+    value again is a lookup.  Moduli the Montgomery kernels do not serve
+    are not registered. *)
+
 (** Evaluation strategy for {!pow_mod_multi} — the bench E3/E8 ablation
     switch.  [Folded] replays the historical fold of independent
     {!pow_mod} calls with a multiplication between terms; [Multi] is
-    Straus/Shamir without cached tables; [Multi_fixed] (the default)
-    adds the fixed-base tables. *)
+    Straus/Shamir with every base dynamic, declarations ignored;
+    [Multi_fixed] (the default) adds the declared bases' tables. *)
 type multi_mode = Folded | Multi | Multi_fixed
 
 val set_multi_mode : multi_mode -> unit
@@ -243,20 +249,21 @@ val pow_mod_count : unit -> int
 val reset_counters : unit -> unit
 
 val reset_caches : unit -> unit
-(** Clear the Montgomery-context and fixed-base-table caches.  Also
-    registered as an [Obs.on_reset] hook, so [Obs.reset_all] — the bench
-    harness's fixture-isolation point — clears them automatically and no
-    setup cost bleeds across experiments. *)
+(** Drop every table built for a declared base or its inverse, keeping
+    the declarations and the declared moduli's Montgomery contexts.
+    Also an [Obs.on_reset] hook, so [Obs.reset_all] — the bench
+    harness's fixture-isolation point — drops them too. *)
 
 val mont_cache_size : unit -> int
-(** Number of cached Montgomery contexts (test/bench instrumentation). *)
+(** Number of declared moduli (test/bench instrumentation). *)
 
 val fixed_base_cache_size : unit -> int
-(** Number of fixed-base table entries (test/bench instrumentation). *)
+(** Number of declared bases, and inverses of them, that hold tables
+    (test/bench instrumentation). *)
 
 val fixed_base_table_words : unit -> int
-(** Limb words held by the cached fixed-base tables: 32 residues of
-    k limbs per 32-bit exponent chunk of every base that earned a table
+(** Limb words held by the declared bases' tables: 32 residues of
+    k limbs per 32-bit exponent chunk of every base that holds a table
     (test/bench instrumentation). *)
 
 (** {1 Infix operators} *)

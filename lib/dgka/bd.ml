@@ -22,6 +22,8 @@ type instance = {
 let create ~rng ~group ~self ~n =
   if n < 2 then invalid_arg "Bd.create: need at least two parties";
   if self < 0 || self >= n then invalid_arg "Bd.create: bad position";
+  (* g recurs in every session: declared, it gets fixed-base tables *)
+  B.declare_fixed_bases ~modulus:group.Groupgen.p [ group.Groupgen.g ];
   { grp = group;
     self;
     n;
@@ -51,7 +53,7 @@ let filled arr =
 let start t =
   Obs.incr start_counter;
   Prof.frame "dgka.bd.start" @@ fun () ->
-  (* g recurs in every session: its fixed-base table serves z_i *)
+  (* g's fixed-base table serves z_i *)
   let z_self = B.pow_mod_multi [ (t.grp.Groupgen.g, t.r) ] t.grp.Groupgen.p in
   t.z.(t.self) <- Some z_self;
   [ (None, Wire.encode ~tag:"bd1" [ enc t z_self ]) ]

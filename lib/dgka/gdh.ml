@@ -21,6 +21,8 @@ type instance = {
 let create ~rng ~group ~self ~n =
   if n < 2 then invalid_arg "Gdh.create: need at least two parties";
   if self < 0 || self >= n then invalid_arg "Gdh.create: bad position";
+  (* g recurs in every session: declared, it gets fixed-base tables *)
+  B.declare_fixed_bases ~modulus:group.Groupgen.p [ group.Groupgen.g ];
   { grp = group;
     self;
     n;

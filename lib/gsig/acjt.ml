@@ -47,6 +47,12 @@ type join_request = { jpub : public; jx : B.t }
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* the key's generators: declared, they get fixed-base tables *)
+let declare pub =
+  B.declare_fixed_bases ~modulus:pub.n
+    [ pub.a; pub.a0; pub.g; pub.h; pub.g2; pub.h2; pub.y ];
+  pub
+
 let setup ~rng ~modulus =
   let n = modulus.Groupgen.n in
   let sample () = Groupgen.sample_qr ~rng n in
@@ -56,17 +62,18 @@ let setup ~rng ~modulus =
   let theta = B.succ (B.random_below rng (B.pred order)) in
   let acc = Accumulator.create ~rng modulus in
   let pub =
-    { n;
-      a = sample ();
-      a0 = sample ();
-      g;
-      h = sample ();
-      g2 = sample ();
-      h2 = sample ();
-      y = B.pow_mod g theta n;
-      sizes;
-      acc0 = Accumulator.value acc;
-    }
+    declare
+      { n;
+        a = sample ();
+        a0 = sample ();
+        g;
+        h = sample ();
+        g2 = sample ();
+        h2 = sample ();
+        y = B.pow_mod g theta n;
+        sizes;
+        acc0 = Accumulator.value acc;
+      }
   in
   { pub; order; theta; acc; roster = Hashtbl.create 16; join_order = [] }
 
@@ -231,8 +238,8 @@ let sign ~rng mem ~msg =
   let r = Interval.sample ~rng s.Gsig_sizes.free in
   let rw = Interval.sample ~rng s.Gsig_sizes.free in
   (* tags over the fixed generators go through pow_mod_multi: T3 shares
-     one squaring chain across its two terms, and all of y/g/h/h2/g2 hit
-     the cached fixed-base tables once warm *)
+     one squaring chain across its two terms, and all of y/g/h/h2/g2
+     read their declared bases' tables *)
   let t1 = B.mul_mod mem.a_mem (B.pow_mod_multi [ (pub.y, r) ] pub.n) pub.n in
   let t2 = B.pow_mod_multi [ (pub.g, r) ] pub.n in
   let t3 = B.pow_mod_multi [ (pub.g, mem.e_mem); (pub.h, r) ] pub.n in
@@ -317,8 +324,6 @@ let roster mgr =
 
 let certificate_prime mgr ~uid =
   Option.map (fun e -> e.e_cert) (Hashtbl.find_opt mgr.roster uid)
-
-let accumulator_value mgr = Accumulator.value mgr.acc
 
 let member_witness_valid mem =
   Accumulator.verify_witness ~modulus:mem.mpub.n ~value:mem.acc_value
@@ -410,17 +415,18 @@ let import_public s =
     if B.num_bits n < 256 then None
     else
       Some
-        { n;
-          a = B.of_bytes_be a;
-          a0 = B.of_bytes_be a0;
-          g = B.of_bytes_be g;
-          h = B.of_bytes_be h;
-          g2 = B.of_bytes_be g2;
-          h2 = B.of_bytes_be h2;
-          y = B.of_bytes_be y;
-          sizes = Gsig_sizes.derive ~nbits:(B.num_bits n);
-          acc0 = B.of_bytes_be acc0;
-        }
+        (declare
+           { n;
+             a = B.of_bytes_be a;
+             a0 = B.of_bytes_be a0;
+             g = B.of_bytes_be g;
+             h = B.of_bytes_be h;
+             g2 = B.of_bytes_be g2;
+             h2 = B.of_bytes_be h2;
+             y = B.of_bytes_be y;
+             sizes = Gsig_sizes.derive ~nbits:(B.num_bits n);
+             acc0 = B.of_bytes_be acc0;
+           })
   | _ -> None
 
 (* NO-PLAINTEXT-WIRE suppression: this is the at-rest checkpoint

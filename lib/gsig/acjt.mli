@@ -24,7 +24,6 @@ include Gsig_intf.S
 (** {1 Extras used by tests and benches} *)
 
 val certificate_prime : manager -> uid:string -> Bigint.t option
-val accumulator_value : manager -> Bigint.t
 val member_witness_valid : member -> bool
 (** Does the member's current witness verify against its accumulator view? *)
 

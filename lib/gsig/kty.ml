@@ -40,6 +40,12 @@ type member = {
 
 type join_request = { jpub : public; jx' : B.t }
 
+(* the key's generators: declared, they get fixed-base tables *)
+let declare pub =
+  B.declare_fixed_bases ~modulus:pub.n
+    [ pub.a; pub.a0; pub.b; pub.g; pub.h; pub.y ];
+  pub
+
 let setup ~rng ~modulus =
   let n = modulus.Groupgen.n in
   let sample () = Groupgen.sample_qr ~rng n in
@@ -48,8 +54,9 @@ let setup ~rng ~modulus =
   let order = Groupgen.qr_order modulus in
   let theta = B.succ (B.random_below rng (B.pred order)) in
   let pub =
-    { n; a = sample (); a0 = sample (); b = sample (); g; h = sample ();
-      y = B.pow_mod g theta n; sizes }
+    declare
+      { n; a = sample (); a0 = sample (); b = sample (); g; h = sample ();
+        y = B.pow_mod g theta n; sizes }
   in
   { pub; order; theta; roster = Hashtbl.create 16; join_order = [] }
 
@@ -206,7 +213,7 @@ let sign_internal ~rng mem ~msg ~t7_and_k' =
   let r = Interval.sample ~rng s.Gsig_sizes.free in
   let k = Interval.sample ~rng s.Gsig_sizes.free in
   (* every tag but T1 and a common-base T7 is a power of g with a known
-     exponent, so it rides g's cached fixed-base tables: T4 = T5^x is
+     exponent, so it rides g's fixed-base tables: T4 = T5^x is
      g^(k·x), and in fresh mode T6 = T7^x' is g^(k'·x') *)
   let t1 = B.mul_mod mem.a_mem (B.pow_mod_multi [ (pub.y, r) ] pub.n) pub.n in
   let t2 = B.pow_mod_multi [ (pub.g, r) ] pub.n in
@@ -466,15 +473,16 @@ let import_public s =
     if B.num_bits n < 256 then None
     else
       Some
-        { n;
-          a = B.of_bytes_be a;
-          a0 = B.of_bytes_be a0;
-          b = B.of_bytes_be b;
-          g = B.of_bytes_be g;
-          h = B.of_bytes_be h;
-          y = B.of_bytes_be y;
-          sizes = Gsig_sizes.derive ~nbits:(B.num_bits n);
-        }
+        (declare
+           { n;
+             a = B.of_bytes_be a;
+             a0 = B.of_bytes_be a0;
+             b = B.of_bytes_be b;
+             g = B.of_bytes_be g;
+             h = B.of_bytes_be h;
+             y = B.of_bytes_be y;
+             sizes = Gsig_sizes.derive ~nbits:(B.num_bits n);
+           })
   | _ -> None
 
 (* NO-PLAINTEXT-WIRE suppression: this is the at-rest checkpoint

@@ -242,8 +242,8 @@ val reset_all : unit -> unit
 
 val on_reset : (unit -> unit) -> unit
 (** Register a hook run at the end of every {!reset_all}.  Modules
-    below [Obs] in the dependency order (e.g. bigint's Montgomery and
-    fixed-base caches) use this to join fixture isolation without
+    below [Obs] in the dependency order (e.g. bigint's fixed-base
+    tables) use this to join fixture isolation without
     [Obs] depending on them.  Hooks run in registration order and are
     never removed. *)
 

@@ -5,10 +5,14 @@ type secret_key = { pk : public_key; x : B.t }
 
 let elem_len grp = (B.num_bits grp.Groupgen.p + 7) / 8
 
+(* g and y recur across encryptions: declared, they get tables *)
+let public_key grp y =
+  B.declare_fixed_bases ~modulus:grp.Groupgen.p [ grp.Groupgen.g; y ];
+  { grp; y }
+
 let key_gen ~rng ~group =
   let x = Groupgen.schnorr_exponent ~rng group in
-  let y = B.pow_mod group.Groupgen.g x group.Groupgen.p in
-  let pk = { grp = group; y } in
+  let pk = public_key group (B.pow_mod group.Groupgen.g x group.Groupgen.p) in
   (pk, { pk; x })
 
 let public_of_secret sk = sk.pk
@@ -24,8 +28,6 @@ let dem_key grp ~eph ~shared =
 let encrypt ~rng ~pk ?pad_to msg =
   let grp = pk.grp in
   let r = Groupgen.schnorr_exponent ~rng grp in
-  (* g and the recipient's y recur across encryptions: both take their
-     fixed-base tables *)
   let eph = B.pow_mod_multi [ (grp.Groupgen.g, r) ] grp.Groupgen.p in
   let shared = B.pow_mod_multi [ (pk.y, r) ] grp.Groupgen.p in
   let key = dem_key grp ~eph ~shared in
@@ -62,7 +64,7 @@ let import_public ~group s =
   if String.length s <> elem_len group then None
   else begin
     let y = B.of_bytes_be s in
-    if Groupgen.in_subgroup group y then Some { grp = group; y } else None
+    if Groupgen.in_subgroup group y then Some (public_key group y) else None
   end
 
 let export_secret sk = B.to_bytes_be sk.x
@@ -75,5 +77,5 @@ let import_secret ~group s =
   if B.compare_ct x B.zero <= 0 || B.compare_ct x group.Groupgen.q >= 0 then None
   else begin
     let y = B.pow_mod group.Groupgen.g x group.Groupgen.p in
-    Some { pk = { grp = group; y }; x }
+    Some { pk = public_key group y; x }
   end

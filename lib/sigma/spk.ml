@@ -19,7 +19,7 @@ let signed exponents t =
 (* The verifier's Π base^(±exponent) mod n, times the extra
    [target^challenge] factor.  Everything goes through one simultaneous
    multi-exponentiation, so the whole equation shares a single squaring
-   chain, and the statement's fixed bases hit the cached fixed-base
+   chain, and the statement's declared bases read their fixed-base
    tables. *)
 let combine st ~extra terms exponents =
   let pairs = List.map (fun t -> (t.base, signed exponents t)) terms in
@@ -29,7 +29,7 @@ let combine st ~extra terms exponents =
    the prover knows as gen^k (from [reps]) becomes gen^(k·blinder), and
    the terms over one base merge into a single signed exponent, so a
    one-shot tag's per-call table and squarings become windows over a
-   generator's cached tables. *)
+   generator's fixed-base tables. *)
 let commitment st ~reps terms blinders =
   let rec merge ((b, e) as term) = function
     | [] -> [ term ]

@@ -514,6 +514,12 @@ let in_mode mode f =
 
 let all_modes = [ B.Folded; B.Multi; B.Multi_fixed ]
 
+(* [f ()] with [bases] declared for [n]; the tables it builds are
+   dropped after, so a property's cases do not pile them up *)
+let with_declared n bases f =
+  B.declare_fixed_bases ~modulus:n bases;
+  Fun.protect ~finally:B.reset_caches f
+
 let gen_multi =
   let open QCheck2.Gen in
   let pairs =
@@ -573,10 +579,11 @@ let test_multi_edge_cases () =
   check_all "non-invertible negative exponent"
     [ (B.shift_left m107 1, B.neg (b "3")) ]
     m107;
-  (* repeated same-base calls cross the fixed-base use threshold: the
-     answer must not change once the cached table takes over *)
+  (* a declared base takes its table at its first call: the answer
+     must not change once the table takes over *)
   B.reset_caches ();
   let g = b "123456789" in
+  B.declare_fixed_bases ~modulus:m107 [ g ];
   let expected = B.pow_mod g e200 m107 in
   for _ = 1 to 8 do
     Alcotest.(check bool) "warm fixed-base table stays correct" true
@@ -600,10 +607,12 @@ let test_modulus_one () =
     [ B.zero; B.one; b "12345" ]
 
 (* a term whose base reduces to 1 is dropped before any inversion or
-   table: the product costs what the other terms cost, in every mode *)
+   table, declared or not: the product costs what the other terms cost,
+   in every mode *)
 let test_base_one_dropped () =
   let e200 = B.pred (B.shift_left B.one 200) in
   let g = b "123456789" in
+  B.declare_fixed_bases ~modulus:m107 [ g; B.one ];
   let muls f =
     let c0 = B.mul_count () in
     let r = f () in
@@ -703,10 +712,10 @@ let wide_props =
       ~count:10 ~long_factor:20 gen_wide
       (fun (n, ((b1, _) as t1), t2) ->
         in_mode B.Multi_fixed (fun () ->
-            (* four sightings reach fb_use_threshold: the checked call
-               then builds b1's table, squarings included *)
-            for _ = 1 to 4 do ignore (B.pow_mod_multi [ (b1, B.one) ] n) done;
-            B.equal (B.pow_mod_multi [ t1; t2 ] n) (div_product [ t1; t2 ] n)));
+            (* b1 declared: the checked call builds its table, squarings
+               included *)
+            with_declared n [ b1 ] (fun () ->
+                B.equal (B.pow_mod_multi [ t1; t2 ] n) (div_product [ t1; t2 ] n))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -715,33 +724,38 @@ let wide_props =
 (* digits of 0 and 15, and cached tables that a chain must not write   *)
 (* ------------------------------------------------------------------ *)
 
-(* 2^(26(k-1)) + 1: a top limb of 1, so most residues have a zero one *)
-let small_top k = B.succ (B.shift_left B.one (26 * (k - 1)))
+(* The chain moduli sit at the limb boundaries of the Montgomery
+   domain, whose limbs are 27 bits wide; k counts domain limbs. *)
 
-(* 2^(26k) - 2t - 1: every limb but the lowest maximal, so a product
-   before the subtraction often reaches 2^(26k) *)
-let near_top k t = B.sub (all_ones k) (B.of_int (2 * t))
+(* 2^(27(k-1)) + 1: a top limb of 1, so most residues have a zero one *)
+let small_top k = B.succ (B.shift_left B.one (27 * (k - 1)))
 
-(* pow_mod, the Multi arm and a fixed-base table (built by four
-   exponent-1 sightings, then extended for [e]) against pow_mod_div *)
+(* 2^(27k) - 2t - 1: every limb but the lowest maximal, so a product
+   before the subtraction often reaches 2^(27k) *)
+let near_top k t = B.sub (B.pred (B.shift_left B.one (27 * k))) (B.of_int (2 * t))
+
+(* pow_mod, the Multi arm and a declared base's table (built for
+   exponent 1, then extended for [e]) against pow_mod_div *)
 let chains_agree n b_ e =
   let expected = B.pow_mod_div b_ e n in
   B.equal (B.pow_mod b_ e n) expected
   && B.equal (in_mode B.Multi (fun () -> B.pow_mod_multi [ (b_, e) ] n)) expected
   && in_mode B.Multi_fixed (fun () ->
-         for _ = 1 to 4 do ignore (B.pow_mod_multi [ (b_, B.one) ] n) done;
-         B.equal (B.pow_mod_multi [ (b_, e) ] n) expected)
+         with_declared n [ b_ ] (fun () ->
+             ignore (B.pow_mod_multi [ (b_, B.one) ] n);
+             B.equal (B.pow_mod_multi [ (b_, e) ] n) expected))
 
-(* a modulus of class [modulus k] at 20, 40 or 79 limbs, a base from
-   {n-1, 2^(26(k-1)), uniform below n} and an exponent of 9 to 200 bits *)
+(* a modulus of class [modulus k] at 19, 38 or 76 domain limbs (513 to
+   2 052 bits), a base from {n-1, 2^(27(k-1)), uniform below n} and an
+   exponent of 9 to 200 bits *)
 let gen_class modulus =
   let open QCheck2.Gen in
-  let* k = oneofl [ 20; 40; 79 ] in
+  let* k = oneofl [ 19; 38; 76 ] in
   let* n = modulus k in
   let* b_ =
     oneof
       [ pure (B.pred n);
-        pure (B.shift_left B.one (26 * (k - 1)));
+        pure (B.shift_left B.one (27 * (k - 1)));
         map (fun seed -> B.random_below (Test_rng.make seed) n) (int_bound max_int) ]
   in
   let* e =
@@ -760,10 +774,14 @@ let gen_small_top =
           [ pure (small_top k);
             (* a top limb below 16 over uniform lower limbs *)
             map
-              (fun (t, rest) ->
-                let v = of_limbs (t :: rest) in
+              (fun (t, seed) ->
+                let v =
+                  B.add
+                    (B.shift_left (B.of_int t) (27 * (k - 1)))
+                    (B.random_bits (Test_rng.make seed) (27 * (k - 1)))
+                in
                 if B.is_even v then B.succ v else v)
-              (pair (int_range 1 15) (list_repeat (k - 1) (int_bound limb_max))) ]))
+              (pair (int_range 1 15) (int_bound max_int)) ]))
 
 let gen_near_top =
   gen_class (fun k -> QCheck2.Gen.map (near_top k) (QCheck2.Gen.int_bound (1 lsl 20)))
@@ -800,7 +818,7 @@ let test_chain_exponent_edges () =
                 exps)
             bases)
         [ small_top k; near_top k 0; near_top k 12345 ])
-    [ 20; 79 ]
+    [ 19; 76 ]
 
 (* v at the bottom of each of the 7 chunks a 200-bit exponent spans:
    one window per chunk, taking entry v of every chunk table *)
@@ -809,9 +827,10 @@ let spread v =
     (fun acc c -> B.add acc (B.shift_left (B.of_int v) (32 * c)))
     B.zero [ 0; 1; 2; 3; 4; 5; 6 ]
 
-(* a warm fixed-base product, every entry of every chunk table, an
-   unrelated chain on the same modulus, then all of them again: a chain
-   that wrote into a cached table entry would change a later answer *)
+(* a declared base's first product, which builds its tables, every
+   entry of every chunk table, an unrelated chain on the same modulus,
+   then all of them again: a chain that wrote into a table entry would
+   change a later answer *)
 let test_fixed_base_cache_integrity () =
   B.reset_caches ();
   List.iter
@@ -821,25 +840,27 @@ let test_fixed_base_cache_integrity () =
       let e1 = B.pred (B.shift_left B.one 200) in
       let e2 = B.random_bits (Test_rng.make 13) 300 in
       let reference pairs = div_product pairs n in
+      let check msg pairs =
+        Alcotest.(check bool) msg true
+          (B.equal (B.pow_mod_multi pairs n) (reference pairs))
+      in
+      let every_entry msg =
+        for i = 0 to 31 do
+          check (Printf.sprintf "%s, entry %d" msg i) [ (g, spread ((2 * i) + 1)) ]
+        done
+      in
       in_mode B.Multi_fixed (fun () ->
-          (* four sightings: the last builds g's 7 chunk tables *)
-          for _ = 1 to 4 do ignore (B.pow_mod_multi [ (g, e1) ] n) done;
-          let check msg pairs =
-            Alcotest.(check bool) msg true
-              (B.equal (B.pow_mod_multi pairs n) (reference pairs))
-          in
-          let every_entry msg =
-            for i = 0 to 31 do
-              check (Printf.sprintf "%s, entry %d" msg i) [ (g, spread ((2 * i) + 1)) ]
-            done
-          in
-          check "warm fixed-base product" [ (g, e1) ];
-          every_entry "every chunk table";
-          check "unrelated chain" [ (h, e2); (B.succ g, e1) ];
-          ignore (B.pow_mod h e2 n);
-          check "first product again" [ (g, e1) ];
-          every_entry "every chunk table again"))
-    [ small_top 20; near_top 20 7; all_ones 40 ]
+          with_declared n [ g ] (fun () ->
+              (* the first product builds g's 7 chunk tables *)
+              check "first fixed-base product" [ (g, e1) ];
+              Alcotest.(check int) "g's tables, and no other" 1
+                (B.fixed_base_cache_size ());
+              every_entry "every chunk table";
+              check "unrelated chain" [ (h, e2); (B.succ g, e1) ];
+              ignore (B.pow_mod h e2 n);
+              check "first product again" [ (g, e1) ];
+              every_entry "every chunk table again")))
+    [ small_top 19; near_top 19 7; near_top 38 0 ]
 
 (* ------------------------------------------------------------------ *)
 (* The one chain's windows against the division ladder: exponent       *)
@@ -906,7 +927,7 @@ let gen_short_beside_fixed =
          (triple (int_bound max_int) (gen_exponent 1364 1364) (gen_exponent 1 31))))
 
 (* two fixed terms on the RSA modulus, the second with a negative
-   exponent: its base's cached inverse gets chunk tables of its own *)
+   exponent: its base's inverse gets chunk tables of its own *)
 let gen_mixed_sign =
   QCheck2.Gen.(
     map
@@ -916,12 +937,6 @@ let gen_mixed_sign =
         (n, B.random_below rng n, B.random_below rng n, e1, e2))
       (triple (int_bound max_int) (gen_exponent 9 1400) (gen_exponent 9 1400)))
 
-(* four sightings of every base in [terms] (exponents 1 or -1): the
-   last builds one-chunk tables, for a -1 term over the base's cached
-   inverse *)
-let warm n terms =
-  for _ = 1 to 4 do ignore (B.pow_mod_multi terms n) done
-
 let window_props =
   [ qtest "chunk and width boundaries agree with division ladder" ~count:40
       ~long_factor:20 gen_boundary
@@ -930,35 +945,35 @@ let window_props =
       ~long_factor:20 gen_growth
       (fun (n, b_, short, long) ->
         in_mode B.Multi_fixed (fun () ->
-            for _ = 1 to 3 do ignore (B.pow_mod_multi [ (b_, B.one) ] n) done;
-            let agrees e =
-              B.equal (B.pow_mod_multi [ (b_, e) ] n) (B.pow_mod_div b_ e n)
-            in
-            (* the fourth sighting builds the short tables, the long
-               exponent extends them, the short one reads them again *)
-            agrees short && agrees long && agrees short));
+            with_declared n [ b_ ] (fun () ->
+                let agrees e =
+                  B.equal (B.pow_mod_multi [ (b_, e) ] n) (B.pow_mod_div b_ e n)
+                in
+                (* the first call builds the short tables, the long
+                   exponent extends them, the short one reads them again *)
+                agrees short && agrees long && agrees short)));
     qtest "short dynamic term beside a 1 364-bit fixed term" ~count:20
       ~long_factor:20 gen_short_beside_fixed
       (fun (n, g, h, long, short) ->
         in_mode B.Multi_fixed (fun () ->
-            warm n [ (g, B.one) ];
-            let pairs = [ (g, long); (h, short) ] in
-            B.equal (B.pow_mod_multi pairs n) (div_product pairs n)));
+            with_declared n [ g ] (fun () ->
+                let pairs = [ (g, long); (h, short) ] in
+                B.equal (B.pow_mod_multi pairs n) (div_product pairs n))));
     qtest "fixed terms of mixed sign agree with division ladder" ~count:20
       ~long_factor:20 gen_mixed_sign
       (fun (n, g, h, e1, e2) ->
         QCheck2.assume (B.equal (B.gcd h n) B.one);
         in_mode B.Multi_fixed (fun () ->
-            warm n [ (g, B.one); (h, B.neg B.one) ];
-            B.equal
-              (B.pow_mod_multi [ (g, e1); (h, B.neg e2) ] n)
-              (div_product [ (g, e1); (B.invert h n, e2) ] n)));
+            with_declared n [ g; h ] (fun () ->
+                B.equal
+                  (B.pow_mod_multi [ (g, e1); (h, B.neg e2) ] n)
+                  (div_product [ (g, e1); (B.invert h n, e2) ] n))));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* One base, many exponents: the per-call chunk table against the      *)
 (* division ladder, the widths its cost model picks, and the           *)
-(* fixed-base cache it must stay out of                                *)
+(* fixed-base registry it must stay out of                             *)
 (* ------------------------------------------------------------------ *)
 
 (* both sides of the 32-bit chunk boundary, of the KTY token lengths
@@ -1009,7 +1024,6 @@ let muls f =
 let test_many_products () =
   let n = near_top 20 7 in
   let b_ = B.random_below (Test_rng.make 23) n in
-  ignore (B.pow_mod b_ B.two n) (* warm the Montgomery context *);
   let ones = B.pred (B.shift_left B.one 409) in
   let read es = Seq.iter ignore (B.pow_mod_many b_ es n) in
   Alcotest.(check int) "one exponent costs one pow_mod"
@@ -1031,17 +1045,17 @@ let test_many_products () =
          ignore (Seq.uncons (B.pow_mod_many b_ (List.init 8 (fun _ -> ones)) n))));
   Alcotest.(check int) "one exponentiation counted" 1 (B.pow_mod_count () - p0)
 
-(* the per-call table never enters the fixed-base cache: not for a base
-   read more often than fb_use_threshold, not for a base that already
-   has cached tables *)
+(* the per-call table never enters the fixed-base registry: not for an
+   undeclared base read many times, not for a declared base that
+   already has tables *)
 let test_many_stays_out_of_cache () =
   B.reset_caches ();
   let n = near_top 20 7 in
   let g = B.random_below (Test_rng.make 21) n in
   let h = B.random_below (Test_rng.make 22) n in
   let es = List.init 8 (fun i -> B.random_bits (Test_rng.make (30 + i)) 409) in
+  B.declare_fixed_bases ~modulus:n [ g ];
   in_mode B.Multi_fixed (fun () ->
-      warm n [ (g, B.one) ];
       ignore (B.pow_mod_multi [ (g, B.pred (B.shift_left B.one 409)) ] n);
       let size = B.fixed_base_cache_size () and words = B.fixed_base_table_words () in
       for _ = 1 to 5 do
@@ -1056,6 +1070,30 @@ let test_many_stays_out_of_cache () =
       Alcotest.(check int) "fixed-base entries" size (B.fixed_base_cache_size ());
       Alcotest.(check int) "fixed-base table words" words
         (B.fixed_base_table_words ()))
+
+(* bases nobody declared stay dynamic however often they recur, with
+   either sign of exponent, on a declared modulus or not: no call
+   builds a table or adds an entry *)
+let test_undeclared_no_tables () =
+  let e200 = B.pred (B.shift_left B.one 200) in
+  let g = b "123456789" in
+  B.declare_fixed_bases ~modulus:m107 [ g ];
+  ignore (B.pow_mod_multi [ (g, e200) ] m107);
+  let size = B.fixed_base_cache_size () and words = B.fixed_base_table_words () in
+  List.iter
+    (fun n ->
+      let h = B.random_below (Test_rng.make 41) n in
+      for i = 1 to 6 do
+        let fresh = B.random_below (Test_rng.make (50 + i)) n in
+        Alcotest.(check bool) "product agrees" true
+          (B.equal
+             (B.pow_mod_multi [ (h, e200); (fresh, B.neg e200) ] n)
+             (div_product [ (h, e200); (B.invert fresh n, e200) ] n))
+      done)
+    [ m107; (Lazy.force Params.rsa_512).Groupgen.n ];
+  Alcotest.(check int) "fixed-base entries" size (B.fixed_base_cache_size ());
+  Alcotest.(check int) "fixed-base table words" words
+    (B.fixed_base_table_words ())
 
 let many_props =
   [ qtest "pow_mod_many agrees with division ladder" ~count:20 ~long_factor:20
@@ -1125,23 +1163,25 @@ let limb27_props =
 
 (* The lazy-carry bound: 127 limbs of 27 bits (3 429 bits) is the widest
    modulus the Montgomery kernels accept.  At 3 430 bits pow_mod and
-   pow_mod_multi must take the division ladder and build no Montgomery
-   context. *)
+   pow_mod_multi must take the division ladder, and a declaration must
+   register no modulus (no Montgomery context). *)
 let test_lazy_carry_bound () =
   let e = b "0xfff" in
-  B.reset_caches ();
   List.iter
     (fun (bits, contexts) ->
       let n = B.pred (B.shift_left B.one bits) in
       let base = B.sub n B.two in
+      let before = B.mont_cache_size () in
+      B.declare_fixed_bases ~modulus:n [ base ];
       let expected = B.pow_mod_div base e n in
       Alcotest.(check bool) (Printf.sprintf "pow_mod at %d bits" bits) true
         (B.equal (B.pow_mod base e n) expected);
       Alcotest.(check bool) (Printf.sprintf "pow_mod_multi at %d bits" bits) true
         (B.equal (B.pow_mod_multi [ (base, e) ] n) expected);
       Alcotest.(check int) (Printf.sprintf "Montgomery contexts after %d bits" bits)
-        contexts (B.mont_cache_size ()))
-    [ (27 * 127, 1); ((27 * 127) + 1, 1) ]
+        contexts (B.mont_cache_size () - before))
+    [ (27 * 127, 1); ((27 * 127) + 1, 0) ];
+  B.reset_caches ()
 
 (* ------------------------------------------------------------------ *)
 (* Metering and caching regressions                                     *)
@@ -1186,7 +1226,6 @@ let test_pow_mod_counted_once () =
 let test_neg_exponent_uses_fast_path () =
   let e200 = B.pred (B.shift_left B.one 200) in
   let base = b "123456789" in
-  ignore (B.pow_mod base B.two m107) (* warm the Montgomery context *);
   let c0 = B.mul_count () in
   let r_fast = B.pow_mod base (B.neg e200) m107 in
   let c1 = B.mul_count () in
@@ -1200,7 +1239,8 @@ let test_neg_exponent_uses_fast_path () =
     true
     (c1 - c0 < c2 - c1)
 
-(* satellite regression: with a warm context, a Montgomery pow_mod
+(* satellite regression: on a declared modulus, which keeps its
+   context, a Montgomery pow_mod
    charges exactly ONE Prof.Reduce — the caller-side erem of the
    oversized base.  The pre-fix code charged two more: a redundant
    second reduction of the already-reduced base in the Montgomery
@@ -1210,7 +1250,7 @@ let test_neg_exponent_uses_fast_path () =
 let test_montgomery_single_reduce () =
   let e200 = B.pred (B.shift_left B.one 200) in
   let big_b = B.pred (B.shift_left m107 1) (* 2m-1: above m, same limb count *) in
-  ignore (B.pow_mod big_b B.two m107) (* warm the Montgomery context *);
+  B.declare_fixed_bases ~modulus:m107 [] (* m107 keeps its context *);
   Prof.reset ();
   Prof.enable ();
   ignore (B.pow_mod big_b e200 m107);
@@ -1220,23 +1260,24 @@ let test_montgomery_single_reduce () =
     (Prof.total t Prof.Reduce);
   Prof.reset ()
 
-(* satellite regression: the Montgomery-context and fixed-base caches
-   must not survive Obs.reset_all — setup cost used to bleed into
-   whichever bench experiment first touched a modulus *)
+(* satellite regression: the declared bases' tables must not survive
+   Obs.reset_all — setup cost used to bleed into whichever bench
+   experiment first touched a base — while the declarations do: the
+   next use builds the table again *)
 let test_caches_reset_with_obs () =
   let e200 = B.pred (B.shift_left B.one 200) in
-  ignore (B.pow_mod (b "7") e200 m107);
-  for _ = 1 to 5 do
-    ignore (B.pow_mod_multi [ (b "123456789", e200) ] m107)
-  done;
-  Alcotest.(check bool) "montgomery context cached" true
-    (B.mont_cache_size () > 0);
-  Alcotest.(check bool) "fixed-base entry cached" true
+  let g = b "123456789" in
+  B.declare_fixed_bases ~modulus:m107 [ g ];
+  let moduli = B.mont_cache_size () in
+  ignore (B.pow_mod_multi [ (g, e200) ] m107);
+  Alcotest.(check bool) "table built at first use" true
     (B.fixed_base_cache_size () > 0);
   Obs.reset_all ();
-  Alcotest.(check int) "montgomery cache cleared by Obs.reset_all" 0
-    (B.mont_cache_size ());
-  Alcotest.(check int) "fixed-base cache cleared by Obs.reset_all" 0
+  Alcotest.(check int) "tables dropped by Obs.reset_all" 0
+    (B.fixed_base_cache_size ());
+  Alcotest.(check int) "declared moduli kept" moduli (B.mont_cache_size ());
+  ignore (B.pow_mod_multi [ (g, e200) ] m107);
+  Alcotest.(check int) "table rebuilt from the declaration" 1
     (B.fixed_base_cache_size ())
 
 let unit_tests =
@@ -1282,7 +1323,9 @@ let () =
         @ [ Alcotest.test_case "every entry point: residues mod 1" `Quick
               test_modulus_one;
             Alcotest.test_case "base-1 terms are dropped" `Quick
-              test_base_one_dropped ] );
+              test_base_one_dropped;
+            Alcotest.test_case "undeclared bases build no tables" `Quick
+              test_undeclared_no_tables ] );
       ( "montgomery-wide",
         Alcotest.test_case "lazy-carry bound at 127/128 limbs" `Quick
           test_lazy_carry_bound

@@ -320,6 +320,38 @@ end
 module S1 = Generic (Scheme_sig.Scheme1)
 module S2 = Generic (Scheme_sig.Scheme2)
 
+(* Several groups in one process: an ACJT group's warm handshake costs
+   the same products whether or not an ACJT group and a KTY group ran
+   before it, because every group's declared bases keep their tables.
+   Each run rebuilds the groups from their seeds, so the measured
+   handshake is the same session both times. *)
+let test_warm_cost_independent_of_other_groups () =
+  let uids = [ "u1"; "u2"; "u3"; "u4" ] in
+  let warm_up create populate handshake seed =
+    let w = create seed in
+    ignore (populate w uids);
+    for _ = 1 to 2 do ignore (handshake w uids) done
+  in
+  let s1 = warm_up S1.W.create S1.W.populate (fun w u -> S1.W.handshake w u) in
+  let s2 = warm_up S2.W.create S2.W.populate (fun w u -> S2.W.handshake w u) in
+  let warm_products others =
+    Bigint.reset_caches ();
+    others ();
+    let w = S1.W.create 270 in
+    ignore (S1.W.populate w uids);
+    ignore (S1.W.handshake w uids);
+    let c0 = Bigint.mul_count () in
+    S1.check_full_success "measured" (S1.W.handshake w uids) 4;
+    Bigint.mul_count () - c0
+  in
+  let alone = warm_products ignore in
+  let after = warm_products (fun () -> s1 271; s2 272) in
+  Alcotest.(check int) "products of the warm handshake" alone after
+
 let () =
   Alcotest.run "gcd"
-    [ ("scheme1", S1.suite "scheme1"); ("scheme2", S2.suite "scheme2") ]
+    [ ( "scheme1",
+        S1.suite "scheme1"
+        @ [ Alcotest.test_case "scheme1: warm cost after other groups" `Slow
+              test_warm_cost_independent_of_other_groups ] );
+      ("scheme2", S2.suite "scheme2") ]

@@ -259,10 +259,9 @@ let test_profile_replay_identical () =
   let profiled () =
     let w = W1.create 9100 in
     let _ = W1.populate w [ "u0"; "u1" ] in
-    (* start from a cold Montgomery/fixed-base cache: table builds and
-       use-count promotions then land at the same points in both runs
-       (the same fixture-isolation contract Obs.reset_all provides the
-       bench harness) *)
+    (* start with no fixed-base table built: table builds then land at
+       the same points in both runs (the same fixture-isolation
+       contract Obs.reset_all provides the bench harness) *)
     Bigint.reset_caches ();
     Prof.reset ();
     Prof.enable ();
