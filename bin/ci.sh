@@ -10,8 +10,9 @@
 # planted-violation checks), the
 # bench regression gate
 # against the checked-in baseline (plus a perturbation check proving the
-# gate can fail), a bounded protocol-fuzz smoke, a 1000-session
-# concurrent-swarm determinism + isolation smoke, a deterministic
+# gate can fail), a bounded protocol-fuzz smoke, a concurrent-swarm
+# smoke (1000 sessions against pinned digests, isolation, and a
+# 100-session determinism check), a deterministic
 # timeline-export smoke, a byte-identical cost-profile export check, a
 # check that one handshake run with both exports writes what each
 # writes alone, a byte-identical churn-dashboard export check, and the
@@ -234,22 +235,33 @@ dune exec bin/shs_demo.exe -- fuzz --sessions 5 > "$fuzz2"
 cmp "$fuzz1" "$fuzz2"
 grep -q 'all invariants held' "$fuzz1"
 
-echo "== swarm smoke: 1000 concurrent sessions, byte-identical summaries and telemetry =="
+echo "== swarm smoke: 1000 sessions against pinned digests, 100 sessions twice =="
 # the concurrent-session engine at CI scale: 1000 Poisson arrivals over
 # one scheduler with every 5th session on a lossy channel and every 7th
 # seating a Byzantine adversary.  shs_demo swarm exits nonzero if any
-# untargeted session fails (the isolation gate), and two identically
-# seeded runs must agree to the byte, telemetry included (the per-phase
-# seat series among it), though they export under different prefixes
+# untargeted session fails (the isolation gate).  The 1000-session run's
+# summary and telemetry CSV (the per-phase seat series among it) must
+# match the SHA-256 digests pinned below, which catches a change between
+# commits; re-pin them, saying why, only when a change moves them on
+# purpose.  Two identically seeded 100-session runs exporting under
+# different prefixes must then agree to the byte, which catches state
+# leaking from one run into the next within a process
+swarm_sha=802850848e8fbe3d25fb62cf1bd43e3904d3ad7b1f791b01962f1d0383715720
+swarm_csv_sha=840a701c9aa02e6e322ab08042b8f1c2f3c80178783794cf579b54b8dcd213aa
 dune exec bin/shs_demo.exe -- swarm --sessions 1000 --members 4 \
   --drop-every 5 --byz-every 7 -o "$swarmo/A" > "$swarm1"
-dune exec bin/shs_demo.exe -- swarm --sessions 1000 --members 4 \
-  --drop-every 5 --byz-every 7 -o "$swarmo/B" > "$swarm2"
-cmp "$swarm1" "$swarm2"
-cmp "$swarmo/A.csv" "$swarmo/B.csv"
 grep -q '^seats in phase3,' "$swarmo/A.csv"
 grep -q '1000 submitted, 1000 admitted' "$swarm1"
 grep -q '100% of untargeted sessions complete' "$swarm1"
+echo "$swarm_sha  $swarm1" | sha256sum -c --quiet -
+echo "$swarm_csv_sha  $swarmo/A.csv" | sha256sum -c --quiet -
+dune exec bin/shs_demo.exe -- swarm --sessions 100 --members 4 \
+  --drop-every 5 --byz-every 7 -o "$swarmo/B" > "$swarm1"
+dune exec bin/shs_demo.exe -- swarm --sessions 100 --members 4 \
+  --drop-every 5 --byz-every 7 -o "$swarmo/C" > "$swarm2"
+cmp "$swarm1" "$swarm2"
+cmp "$swarmo/B.csv" "$swarmo/C.csv"
+grep -q '100 submitted, 100 admitted' "$swarm1"
 
 echo "== timeline smoke: deterministic Chrome trace export =="
 dune exec bin/shs_demo.exe -- handshake --drop 0.2 --net-seed 7 \
